@@ -11,9 +11,9 @@ GO ?= go
 # same code (testdata fixtures are excluded by pattern expansion).
 PKGS ?= ./...
 
-.PHONY: check fmt vet lint build test race faults invariants flightrec parallel cc hybrid escape escape-update alloc-budgets bench bench-json sweep-smoke sweep chaos clean
+.PHONY: check fmt vet lint build test race faults invariants flightrec parallel cc hybrid bench-test escape escape-update alloc-budgets bench bench-json sweep-smoke sweep chaos clean
 
-check: fmt vet lint build faults race invariants flightrec parallel cc hybrid
+check: fmt vet lint build faults race invariants flightrec parallel cc hybrid bench-test
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -129,6 +129,13 @@ hybrid:
 		./internal/experiments/
 	$(GO) run ./cmd/dcqcn-sweep -scenario hybrid-validate -seeds 1 \
 		-check-determinism -quiet -out hybrid-out
+
+# The benchmark (cmd/dcqcn-bench) is a Go module of its own, so the
+# root `go test ./...` never enters it. Vet and test it here: an API
+# change that breaks the benchmark fails `make check`.
+bench-test:
+	$(GO) -C cmd/dcqcn-bench vet ./...
+	$(GO) -C cmd/dcqcn-bench test ./...
 
 bench:
 	$(GO) test -run=NONE -bench=BenchmarkSweep -benchtime=1x .

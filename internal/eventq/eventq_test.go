@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dcqcn/internal/simtime"
 )
@@ -52,7 +53,7 @@ func TestFIFOTieBreak(t *testing.T) {
 func TestCancel(t *testing.T) {
 	var q Queue
 	fired := map[int]bool{}
-	var handles []*Event
+	var handles []Handle
 	for i := 0; i < 10; i++ {
 		i := i
 		handles = append(handles, q.Push(simtime.Time(i), func() { fired[i] = true }))
@@ -61,7 +62,7 @@ func TestCancel(t *testing.T) {
 	q.Cancel(handles[5])
 	q.Cancel(handles[9])
 	q.Cancel(handles[5]) // double cancel is a no-op
-	q.Cancel(nil)        // nil cancel is a no-op
+	q.Cancel(Handle{})   // zero-handle cancel is a no-op
 	for q.Len() > 0 {
 		q.Pop().Fn()
 	}
@@ -77,20 +78,97 @@ func TestCancel(t *testing.T) {
 	}
 }
 
+// TestCancelledStatus checks Handle.Pending across the event lifecycle:
+// queued, cancelled, popped.
 func TestCancelledStatus(t *testing.T) {
 	var q Queue
-	e := q.Push(1, func() {})
-	if e.Cancelled() {
-		t.Fatal("fresh event reports cancelled")
+	if (Handle{}).Pending() {
+		t.Fatal("zero handle reports pending")
 	}
-	q.Cancel(e)
-	if !e.Cancelled() {
-		t.Fatal("cancelled event does not report cancelled")
+	h := q.Push(1, func() {})
+	if !h.Pending() {
+		t.Fatal("fresh event does not report pending")
 	}
-	e2 := q.Push(1, func() {})
+	q.Cancel(h)
+	if h.Pending() {
+		t.Fatal("cancelled event reports pending")
+	}
+	h2 := q.Push(1, func() {})
 	q.Pop()
-	if !e2.Cancelled() {
-		t.Fatal("popped event does not report cancelled")
+	if h2.Pending() {
+		t.Fatal("popped event reports pending")
+	}
+}
+
+// TestStaleHandleAfterReuse is the pool's safety regression: a handle
+// to an event that fired must stay inert after its header is recycled
+// for a new event. Cancelling through it must not touch the new
+// occupant, which still fires.
+func TestStaleHandleAfterReuse(t *testing.T) {
+	var q Queue
+	old := q.Push(1, func() {})
+	first := q.Pop()
+	if q.Pop() != nil { // hands first's header back to the pool
+		t.Fatal("queue should be empty")
+	}
+	fired := false
+	fresh := q.Push(2, func() { fired = true })
+	if fresh.e != first {
+		t.Fatal("the pool did not reuse the freed header; the test exercises nothing")
+	}
+	if old.Pending() {
+		t.Fatal("stale handle reports pending after its header was reused")
+	}
+	q.Cancel(old)
+	if !fresh.Pending() || q.Len() != 1 {
+		t.Fatal("cancelling a stale handle removed the header's new occupant")
+	}
+	q.Pop().Fire()
+	if !fired {
+		t.Fatal("the new occupant did not fire")
+	}
+}
+
+// TestCancelWhileFiring pins the contract the DCQCN rate timer relies
+// on: an event cancelling its own handle from inside its callback is a
+// no-op, and the header stays valid until the next Pop.
+func TestCancelWhileFiring(t *testing.T) {
+	var q Queue
+	var self Handle
+	other := false
+	self = q.Push(1, func() { q.Cancel(self) })
+	q.Push(2, func() { other = true })
+	e := q.Pop()
+	e.Fire()
+	if e.At != 1 || q.Len() != 1 {
+		t.Fatalf("self-cancel disturbed the queue: popped at %v, %d pending", e.At, q.Len())
+	}
+	q.Pop().Fire()
+	if !other {
+		t.Fatal("remaining event did not fire")
+	}
+}
+
+func TestPushKeyedArg(t *testing.T) {
+	var q Queue
+	var got []int
+	fn := func(x any) { got = append(got, *x.(*int)) }
+	a, b := 1, 2
+	q.PushKeyedArg(5, Key{Class: ClassArrival, K1: 3, K2: 1}, fn, &b)
+	q.PushKeyedArg(5, Key{Class: ClassArrival, K1: 3, K2: 0}, fn, &a)
+	for q.Len() > 0 {
+		q.Pop().Fire()
+	}
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("arg events fired %v, want [1 2] in key order", got)
+	}
+}
+
+// TestEventSize keeps the pooled header within 80 bytes: the pool
+// retains one per peak-pending event, so its size is live heap.
+func TestEventSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Event{}); sz > 80 {
+		t.Fatalf("Event is %d bytes, budget 80", sz)
 	}
 }
 
@@ -101,7 +179,7 @@ func TestPeek(t *testing.T) {
 	}
 	q.Push(5, func() {})
 	e := q.Push(3, func() {})
-	if q.Peek() != e {
+	if q.Peek() != e.e {
 		t.Fatal("peek did not return earliest event")
 	}
 	if q.Len() != 2 {
@@ -121,7 +199,7 @@ func TestPopEmpty(t *testing.T) {
 func TestHeapProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var q Queue
-	pending := map[*Event]simtime.Time{}
+	pending := map[Handle]simtime.Time{}
 	minPending := func() (simtime.Time, bool) {
 		min, ok := simtime.Forever, false
 		for _, at := range pending {
@@ -151,7 +229,7 @@ func TestHeapProperty(t *testing.T) {
 			if e.At != want {
 				t.Fatalf("pop returned %d, min pending is %d", e.At, want)
 			}
-			delete(pending, e)
+			delete(pending, Handle{e: e, gen: e.gen})
 		default:
 			for e := range pending { // random map iteration picks a victim
 				q.Cancel(e)

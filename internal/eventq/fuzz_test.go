@@ -6,17 +6,27 @@ import (
 	"dcqcn/internal/simtime"
 )
 
-// FuzzQueueOperations drives the heap with an arbitrary op tape and
-// checks pops are always the pending minimum.
+// FuzzQueueOperations drives the heap with an arbitrary op tape — pushes,
+// pops, and cancels through any handle ever issued, stale ones included
+// — and checks every outcome against a reference model: pops return the
+// earliest live event (FIFO among equal times), a handle is pending
+// exactly while its event is live, and cancelling a stale handle never
+// disturbs the event now occupying its recycled header.
 func FuzzQueueOperations(f *testing.F) {
 	f.Add([]byte{1, 5, 200, 0, 3, 0, 255, 9})
+	f.Add([]byte{1, 1, 200, 200, 2, 2, 230, 200})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		if len(tape) > 512 {
 			t.Skip()
 		}
 		var q Queue
-		pending := map[*Event]simtime.Time{}
-		var handles []*Event
+		type ref struct {
+			at   simtime.Time
+			live bool
+		}
+		var model []ref // indexed by push order, which is also the FIFO tie-break
+		var handles []Handle
+		fired := -1
 		for i := 0; i < len(tape); i++ {
 			op := tape[i]
 			switch {
@@ -25,12 +35,18 @@ func FuzzQueueOperations(f *testing.F) {
 				if i+1 < len(tape) {
 					at = simtime.Time(tape[i+1])
 				}
-				e := q.Push(at, func() {})
-				pending[e] = at
-				handles = append(handles, e)
-			case op < 220: // pop and verify minimality
+				id := len(model)
+				handles = append(handles, q.Push(at, func() { fired = id }))
+				model = append(model, ref{at: at, live: true})
+			case op < 220: // pop and verify against the model
+				want := -1
+				for id, r := range model {
+					if r.live && (want < 0 || r.at < model[want].at) {
+						want = id
+					}
+				}
 				e := q.Pop()
-				if len(pending) == 0 {
+				if want < 0 {
 					if e != nil {
 						t.Fatal("pop from empty returned event")
 					}
@@ -39,26 +55,34 @@ func FuzzQueueOperations(f *testing.F) {
 				if e == nil {
 					t.Fatal("pop returned nil with pending events")
 				}
-				min := simtime.Forever
-				for _, at := range pending {
-					if at < min {
-						min = at
-					}
+				e.Fire()
+				if fired != want {
+					t.Fatalf("popped event %d at %d, model expects %d at %d", fired, e.At, want, model[want].at)
 				}
-				if e.At != min {
-					t.Fatalf("pop %d, min pending %d", e.At, min)
+				model[want].live = false
+			default: // cancel through any handle, live or stale
+				if len(handles) == 0 {
+					continue
 				}
-				delete(pending, e)
-			default: // cancel a random live handle
-				if len(handles) > 0 {
-					victim := handles[int(op)%len(handles)]
-					q.Cancel(victim)
-					delete(pending, victim)
+				id := int(op) % len(handles)
+				if got := handles[id].Pending(); got != model[id].live {
+					t.Fatalf("handle %d pending=%v, model live=%v", id, got, model[id].live)
 				}
+				q.Cancel(handles[id])
+				model[id].live = false
 			}
 		}
-		if q.Len() != len(pending) {
-			t.Fatalf("queue length %d, tracked %d", q.Len(), len(pending))
+		live := 0
+		for id, r := range model {
+			if r.live {
+				live++
+			}
+			if handles[id].Pending() != r.live {
+				t.Fatalf("handle %d pending=%v at end, model live=%v", id, handles[id].Pending(), r.live)
+			}
+		}
+		if q.Len() != live {
+			t.Fatalf("queue length %d, model %d", q.Len(), live)
 		}
 	})
 }

@@ -106,8 +106,7 @@ func (in *Injector) observe(o *Outcome, phase string) {
 
 // armFlap schedules FlapCount down/up cycles spread evenly over the
 // window. Injected counts the link's fault drops over the window: frames
-// offered while down plus in-flight frames invalidated by each epoch
-// bump.
+// offered while down plus frames each flap caught in flight.
 func (in *Injector) armFlap(spec Spec, o *Outcome, start, end simtime.Time) {
 	l := in.net.HostLink(spec.Target)
 	sim := in.net.Sim

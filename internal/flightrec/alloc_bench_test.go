@@ -126,9 +126,9 @@ func TestAllocBudgetArtifact(t *testing.T) {
 		note   string
 		budget float64
 	}{
-		{"eventq-push-pop", BenchmarkEventqPushPop, "exactly the Event header", 1},
-		{"link-transmit", BenchmarkLinkTransmit, "tx-done Event, arrival Event, arrive closure + 2 captured words", 5},
-		{"switch-forward", BenchmarkSwitchForward, "the link path's 5; forwarding adds none", 5},
+		{"eventq-push-pop", BenchmarkEventqPushPop, "none: Event headers are pooled", 0},
+		{"link-transmit", BenchmarkLinkTransmit, "none: pooled events, pre-bound arrival continuation", 0},
+		{"switch-forward", BenchmarkSwitchForward, "none: forwarding adds nothing to the link path", 0},
 		{"flightrec-append", BenchmarkRecorderAppend, "amortized chunk seal only", 0.01},
 	}
 	var entries []entry

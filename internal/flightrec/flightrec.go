@@ -198,6 +198,10 @@ type Recorder struct {
 	chunks []*chunk // sealed, oldest first
 	active *chunk
 	sealed int // total bytes across sealed chunks
+	// spare is the last evicted chunk, kept to become the next active
+	// chunk, so a wrapping ring reuses its buffers instead of
+	// allocating one per seal.
+	spare *chunk
 
 	seq     int          // events recorded (including evicted)
 	evicted int          // events lost to ring eviction
@@ -281,23 +285,34 @@ func (r *Recorder) seal(now simtime.Time) {
 		r.sealed += len(r.active.buf)
 		r.chunks = append(r.chunks, r.active)
 	}
-	//hot:allow one chunk header per 64KiB of encoded events, amortized over ~10k records
-	r.active = &chunk{base: now, firstSeq: r.seq, buf: make([]byte, 0, chunkTarget+64)}
+	if c := r.spare; c != nil {
+		r.spare = nil
+		*c = chunk{base: now, firstSeq: r.seq, buf: c.buf[:0]}
+		r.active = c
+	} else {
+		//hot:allow one chunk header per 64KiB of encoded events, amortized over ~10k records, until the ring wraps
+		r.active = &chunk{base: now, firstSeq: r.seq, buf: make([]byte, 0, chunkTarget+64)}
+	}
 	r.lastAt = now
 }
 
 // evict drops oldest sealed chunks while the retained encoding exceeds
 // the budget. The active chunk is never evicted, so the budget is a
-// soft cap of MaxBytes + one chunk.
+// soft cap of MaxBytes + one chunk. The victim's slot is cleared before
+// the list is re-sliced past it — otherwise the backing array would keep
+// evicted chunks reachable until the next append reallocates it — and
+// the victim is kept as the spare for the next seal.
 //
 //hot:path
 func (r *Recorder) evict() {
 	budget := r.cfg.maxBytes()
 	for len(r.chunks) > 0 && r.sealed+len(r.active.buf) > budget {
 		victim := r.chunks[0]
+		r.chunks[0] = nil
 		r.chunks = r.chunks[1:]
 		r.sealed -= len(victim.buf)
 		r.evicted += victim.count
+		r.spare = victim
 	}
 }
 

@@ -415,13 +415,14 @@ func (r DropReason) String() string {
 
 // Transport carries one direction of a link across a shard boundary in
 // the parallel runtime: instead of scheduling the arrival on the sender's
-// own core, deliver hands the arrival continuation — with its absolute
-// arrival time and intrinsic (direction ID, frame sequence) ordering key —
-// to the transport, which the coordinator later injects into the
-// destination shard's queue via Sim.AtArrival. Sequential runs never set
-// a transport; the default path schedules locally with the same key.
+// own core, deliver hands the direction's arrival continuation fn and the
+// frame arg — with the absolute arrival time and intrinsic (direction ID,
+// frame sequence) ordering key — to the transport, which the coordinator
+// later injects into the destination shard's queue via Sim.AtArrival.
+// Sequential runs never set a transport; the default path schedules
+// locally with the same key.
 type Transport interface {
-	Send(at simtime.Time, dir, seq uint64, fn func())
+	Send(at simtime.Time, dir, seq uint64, fn func(any), arg any)
 }
 
 // Link is a full-duplex cable between two ports.
@@ -430,9 +431,9 @@ type Transport interface {
 // (0 = a→b, 1 = b→a, matching Ports). The split is what makes a link
 // safe to straddle a shard boundary: direction d's source-side fields
 // (frame sequence, bytes sent, entry-drop counters, loss stream) are only
-// touched by the sending shard, and its destination-side fields (bytes
-// arrived, flap-kill counters) only by the receiving shard, so no word is
-// written from two cores.
+// touched by the sending shard, and its destination-side fields (arrival
+// sequence, bytes arrived, flap-kill counters) only by the receiving
+// shard, so no word is written from two cores.
 type Link struct {
 	a, b  *Port
 	delay simtime.Duration
@@ -444,6 +445,15 @@ type Link struct {
 	// is scheduled locally or merged across a shard boundary.
 	dirID  [2]uint64
 	dirSeq [2]uint64
+	// arrive is each direction's arrival continuation, bound once in
+	// Connect. The frame rides in the pooled event as its argument, so
+	// putting a frame on the wire allocates nothing.
+	arrive [2]func(any)
+	// arrSeq counts the frames whose propagation ended in each
+	// direction. A direction is FIFO (fixed delay, departures serialized
+	// by one port), so the arriving frame is always frame number
+	// arrSeq[d] of that direction.
+	arrSeq [2]uint64
 	// xport, if set for a direction, carries that direction's arrivals to
 	// another shard. nil means the destination port shares the sender's
 	// core and arrivals are scheduled directly.
@@ -468,12 +478,13 @@ type Link struct {
 	// down models a failed cable (fault injection): while set, every
 	// frame entering the link is lost, and frames already propagating
 	// when the link went down never arrive (their photons died with the
-	// cable). epoch increments on every state change so in-flight
-	// deliveries can detect that a flap happened under them. Fault
-	// transitions run as control events — stop-the-world in the parallel
-	// runtime — so model code only ever reads these fields.
-	down  bool
-	epoch uint64
+	// cable). Every state change sets the flap watermark flapSeq[d] to
+	// dirSeq[d]: the frames numbered below it were on the wire at some
+	// flap, so an arriving frame whose number is below the watermark is
+	// killed. Fault transitions run as control events — stop-the-world in
+	// the parallel runtime — so model code only ever reads these fields.
+	down    bool
+	flapSeq [2]uint64
 	// DropHook, if set, is consulted for every frame entering the link
 	// (after the down check, before random loss); returning true drops
 	// the frame. The fault-injection subsystem uses it for targeted,
@@ -514,6 +525,7 @@ func Connect(sim *engine.Sim, a, b *Port, delay simtime.Duration) *Link {
 	for d := range l.dirID {
 		l.dirID[d] = sim.NextID()
 		l.lossRng[d] = sim.NewStream(lossStreamSeed(sim.Seed(), l.dirID[d]))
+		l.arrive[d] = func(pkt any) { l.arrival(d, pkt.(*packet.Packet)) }
 	}
 	a.link, a.peer = l, b
 	b.link, b.peer = l, a
@@ -582,9 +594,9 @@ func (l *Link) InFlightBytes() int64 {
 //
 //hot:path
 func (l *Link) deliver(from *Port, pkt *packet.Packet) {
-	d, to := 0, l.b
+	d := 0
 	if from == l.b {
-		d, to = 1, l.a
+		d = 1
 	}
 	if l.down {
 		l.entryFaultDrops[d]++
@@ -610,31 +622,40 @@ func (l *Link) deliver(from *Port, pkt *packet.Packet) {
 		}
 		return
 	}
-	epoch := l.epoch
 	l.sentBytes[d] += int64(pkt.Size)
 	seq := l.dirSeq[d]
 	l.dirSeq[d]++
 	at := from.sim.Now().Add(l.delay)
-	//hot:allow per-frame in-flight state (epoch, bytes, destination) must outlive deliver; pooling arrival continuations is the engine-overhaul open item
-	arrive := func() {
-		l.arrivedBytes[d] += int64(pkt.Size)
-		// A flap while the frame was propagating kills it, even if the
-		// link is back up by the time the last bit would have arrived.
-		if l.epoch != epoch {
-			l.flapFaultDrops[d]++
-			l.flapFaultDropBytes[d] += int64(pkt.Size)
-			if l.OnDrop != nil {
-				l.OnDrop(from, pkt, DropFlapEpoch)
-			}
-			return
-		}
-		to.receive(pkt)
-	}
 	if x := l.xport[d]; x != nil {
-		x.Send(at, l.dirID[d], seq, arrive)
+		x.Send(at, l.dirID[d], seq, l.arrive[d], pkt)
 		return
 	}
-	from.sim.AtArrival(at, l.dirID[d], seq, arrive)
+	from.sim.AtArrival(at, l.dirID[d], seq, l.arrive[d], pkt)
+}
+
+// arrival ends the propagation of pkt in direction d: the frame reaches
+// the far port, unless a flap happened while it was on the wire.
+//
+//hot:path
+func (l *Link) arrival(d int, pkt *packet.Packet) {
+	from, to := l.a, l.b
+	if d == 1 {
+		from, to = l.b, l.a
+	}
+	l.arrivedBytes[d] += int64(pkt.Size)
+	seq := l.arrSeq[d]
+	l.arrSeq[d]++
+	// A flap while the frame was propagating kills it, even if the link
+	// is back up by the time the last bit would have arrived.
+	if seq < l.flapSeq[d] {
+		l.flapFaultDrops[d]++
+		l.flapFaultDropBytes[d] += int64(pkt.Size)
+		if l.OnDrop != nil {
+			l.OnDrop(from, pkt, DropFlapEpoch)
+		}
+		return
+	}
+	to.receive(pkt)
 }
 
 // SetDown fails (true) or restores (false) the cable. Going down drops
@@ -646,7 +667,7 @@ func (l *Link) SetDown(down bool) {
 		return
 	}
 	l.down = down
-	l.epoch++
+	l.flapSeq = l.dirSeq
 	if !down {
 		l.a.Kick()
 		l.b.Kick()

@@ -1,6 +1,7 @@
 package link
 
 import (
+	"slices"
 	"testing"
 
 	"dcqcn/internal/engine"
@@ -347,4 +348,95 @@ func TestLossInjection(t *testing.T) {
 	}
 	_ = a
 	_ = sb
+}
+
+// transportTo is a minimal link.Transport: it schedules each arrival on
+// another core, the way the parallel runtime injects cut-link frames.
+type transportTo struct{ sim *engine.Sim }
+
+func (x transportTo) Send(at simtime.Time, dir, seq uint64, fn func(any), arg any) {
+	x.sim.AtArrival(at, dir, seq, fn, arg)
+}
+
+// TestFlapWatermark pins the in-flight flap kill. Frames on the wire
+// when the link goes down die even though it is back up before they
+// would arrive; a frame sent while down is lost on entry; frames sent
+// after the flap arrive, as does a frame sent after a second flap with
+// nothing in flight. It runs the link locally and through a Transport
+// carrying direction a→b onto a second core.
+func TestFlapWatermark(t *testing.T) {
+	for _, viaTransport := range []bool{false, true} {
+		name := "local"
+		if viaTransport {
+			name = "transport"
+		}
+		t.Run(name, func(t *testing.T) { flapScenario(t, viaTransport) })
+	}
+}
+
+func flapScenario(t *testing.T, viaTransport bool) {
+	const us = simtime.Microsecond
+	simA := engine.New(1)
+	simB := simA
+	if viaTransport {
+		simB = engine.New(1)
+	}
+	a := NewPort(simA.Model(), "a", 0, 40*simtime.Gbps, &sink{sim: simA})
+	sb := &sink{sim: simB}
+	b := NewPort(simB.Model(), "b", 0, 40*simtime.Gbps, sb)
+	l := Connect(simA, a, b, 10*us)
+	if viaTransport {
+		l.SetTransport(0, transportTo{simB.Model()})
+	}
+	drops := map[DropReason][]int64{}
+	l.OnDrop = func(_ *Port, p *packet.Packet, r DropReason) { drops[r] = append(drops[r], p.PSN) }
+
+	// runTo advances both cores to t in steps shorter than the link
+	// delay, so no arrival is scheduled on a core that has passed it.
+	runTo := func(t simtime.Time) {
+		for now := simA.Now(); now < t; {
+			now = min(now.Add(us), t)
+			simA.Run(now)
+			simB.Run(now)
+		}
+	}
+	send := func(psns ...int64) {
+		for _, psn := range psns {
+			a.Enqueue(packet.NewData(1, packet.FiveTuple{}, psn, packet.MTU, false))
+		}
+	}
+	script := []struct {
+		at simtime.Time
+		do func()
+	}{
+		{0, func() { send(0, 1, 2) }},                      // arrive ~10.3–10.9 µs
+		{simtime.Time(2 * us), func() { l.SetDown(true) }}, // all three in flight
+		{simtime.Time(2500 * simtime.Nanosecond), func() { send(3) }},
+		{simtime.Time(3 * us), func() { l.SetDown(false) }},
+		{simtime.Time(4 * us), func() { send(4, 5) }},
+		{simtime.Time(20 * us), func() { l.SetDown(true); l.SetDown(false) }},
+		{simtime.Time(21 * us), func() { send(6) }},
+	}
+	for _, step := range script {
+		runTo(step.at)
+		step.do()
+	}
+	runTo(simtime.Time(100 * us))
+
+	var got []int64
+	for _, p := range sb.got {
+		got = append(got, p.PSN)
+	}
+	if want := []int64{4, 5, 6}; !slices.Equal(got, want) {
+		t.Errorf("delivered PSNs %v, want %v", got, want)
+	}
+	if want := []int64{0, 1, 2}; !slices.Equal(drops[DropFlapEpoch], want) {
+		t.Errorf("flap-killed PSNs %v, want %v", drops[DropFlapEpoch], want)
+	}
+	if want := []int64{3}; !slices.Equal(drops[DropLinkDown], want) {
+		t.Errorf("dropped-on-entry PSNs %v, want %v", drops[DropLinkDown], want)
+	}
+	if l.FaultDrops() != 4 || l.InFlightBytes() != 0 {
+		t.Errorf("fault drops %d, in flight %d bytes; want 4 and 0", l.FaultDrops(), l.InFlightBytes())
+	}
 }

@@ -32,10 +32,12 @@ type Clock struct{ Sim *engine.Sim }
 // Now returns the current simulated time.
 func (c Clock) Now() simtime.Time { return c.Sim.Now() }
 
-// After schedules fn once, d from now.
+// After schedules fn once, d from now. The returned cancel is safe to
+// call at any later time: the generation-checked handle makes it a no-op
+// once the timer fired, even after its event header was reused.
 func (c Clock) After(d simtime.Duration, fn func()) func() {
-	e := c.Sim.After(d, fn)
-	return func() { c.Sim.Cancel(e) }
+	h := c.Sim.After(d, fn)
+	return func() { c.Sim.Cancel(h) }
 }
 
 // ControllerFactory builds the congestion controller for a new flow.
@@ -145,7 +147,10 @@ type NIC struct {
 
 	lastCNPAt  simtime.Time
 	cnpQueue   []*packet.Packet
-	cnpDrainer *eventq.Event
+	cnpDrainer eventq.Handle // pending CNP pacing event
+	// drain is drainCNPs bound once at construction, so scheduling the
+	// CNP pacer does not allocate a method-value closure per CNP.
+	drain func()
 
 	rxQueue []*packet.Packet
 	//acct: bytes queued in the receive pipeline awaiting processing
@@ -191,9 +196,12 @@ type flowState struct {
 	nextSendAt    simtime.Time // earliest start of the next transmission
 	lastSendAt    simtime.Time
 	lastSentBytes int
-	event         *eventq.Event // pending pacing event
-	stalled       bool          // blocked on NIC tx backlog
-	closed        bool          // torn down; never send again
+	event         eventq.Handle // pending pacing event
+	// pace is the pacing continuation, bound once at OpenFlow, so a
+	// rate-limited packet schedules its send without a closure.
+	pace    func()
+	stalled bool // blocked on NIC tx backlog
+	closed  bool // torn down; never send again
 }
 
 type recvState struct {
@@ -221,6 +229,7 @@ func New(sim *engine.Sim, id packet.NodeID, name string, cfg Config) *NIC {
 	}
 	n.port = link.NewPort(sim, name, 0, cfg.LineRate, n)
 	n.port.OnDeparture = n.onDeparture
+	n.drain = n.drainCNPs
 	return n
 }
 
@@ -307,7 +316,8 @@ func (n *NIC) OpenFlow(dst packet.NodeID) *Flow {
 			fs.qcn = qr
 		}
 	}
-	fs.qp.SetWakeFunc(func() { n.trySend(fs) })
+	fs.pace = func() { n.trySend(fs) }
+	fs.qp.SetWakeFunc(fs.pace)
 	n.senders[id] = fs
 	return &Flow{nic: n, fs: fs, id: id}
 }
@@ -334,10 +344,7 @@ func (f *Flow) CurrentRate() simtime.Rate { return f.fs.ctrl.Rate() }
 func (f *Flow) Close() {
 	f.fs.closed = true
 	f.fs.qp.Stop()
-	if f.fs.event != nil {
-		f.nic.sim.Cancel(f.fs.event)
-		f.fs.event = nil
-	}
+	f.nic.sim.Cancel(f.fs.event)
 	delete(f.nic.senders, f.id)
 }
 
@@ -347,7 +354,7 @@ func (n *NIC) trySend(fs *flowState) {
 	if fs.closed {
 		return
 	}
-	if fs.event != nil {
+	if fs.event.Pending() {
 		return // a pacing event is already scheduled
 	}
 	for {
@@ -363,10 +370,7 @@ func (n *NIC) trySend(fs *flowState) {
 		}
 		now := n.sim.Now()
 		if now < fs.nextSendAt {
-			fs.event = n.sim.At(fs.nextSendAt, func() {
-				fs.event = nil
-				n.trySend(fs)
-			})
+			fs.event = n.sim.At(fs.nextSendAt, fs.pace)
 			return
 		}
 		pkt := fs.qp.BuildNext()
@@ -395,10 +399,7 @@ func (n *NIC) onRateChange(fs *flowState) {
 		return
 	}
 	fs.nextSendAt = fs.lastSendAt.Add(rate.TxTime(fs.lastSentBytes))
-	if fs.event != nil {
-		n.sim.Cancel(fs.event)
-		fs.event = nil
-	}
+	n.sim.Cancel(fs.event)
 	n.trySend(fs)
 }
 
@@ -590,7 +591,7 @@ func (n *NIC) emitCNP(flow packet.FlowID, tuple packet.FiveTuple) {
 }
 
 func (n *NIC) drainCNPs() {
-	if n.cnpDrainer != nil {
+	if n.cnpDrainer.Pending() {
 		return
 	}
 	for len(n.cnpQueue) > 0 {
@@ -600,10 +601,7 @@ func (n *NIC) drainCNPs() {
 			ready = now
 		}
 		if now < ready {
-			n.cnpDrainer = n.sim.At(ready, func() {
-				n.cnpDrainer = nil
-				n.drainCNPs()
-			})
+			n.cnpDrainer = n.sim.At(ready, n.drain)
 			return
 		}
 		cnp := n.cnpQueue[0]

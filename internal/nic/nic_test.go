@@ -401,8 +401,10 @@ func TestRTTSamplingFiltersGoBackN(t *testing.T) {
 	f := tb.nics[0].OpenFlow(2)
 
 	us := func(n int64) simtime.Time { return simtime.Time(simtime.Duration(n) * simtime.Microsecond) }
+	// PSN -1 acknowledges nothing (the flow has sent nothing), so the
+	// transport treats every ACK as stale and only the RTT path runs.
 	ack := func(sentAt simtime.Time) *packet.Packet {
-		return &packet.Packet{Type: packet.Ack, Flow: f.ID(), Size: 64, SentAt: sentAt}
+		return &packet.Packet{Type: packet.Ack, Flow: f.ID(), PSN: -1, Size: 64, SentAt: sentAt}
 	}
 	deliver := func(at simtime.Time, p *packet.Packet) {
 		tb.sim.At(at, func() { tb.nics[0].HandlePacket(p, nil) })

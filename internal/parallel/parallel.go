@@ -51,13 +51,15 @@ import (
 
 func init() { topology.Sharder = Shard }
 
-// msg is one cross-shard frame arrival: the continuation deliver() built,
-// plus the absolute arrival time and intrinsic ordering key it must be
-// scheduled under on the destination core.
+// msg is one cross-shard frame arrival: the link direction's arrival
+// continuation and the frame it carries, plus the absolute arrival time
+// and intrinsic ordering key it must be scheduled under on the
+// destination core.
 type msg struct {
 	at       simtime.Time
 	dir, seq uint64
-	fn       func()
+	fn       func(any)
+	arg      any
 	dst      int
 }
 
@@ -86,8 +88,8 @@ type outboundDir struct {
 	dst int
 }
 
-func (o *outboundDir) Send(at simtime.Time, dir, seq uint64, fn func()) {
-	o.src.outbox = append(o.src.outbox, msg{at: at, dir: dir, seq: seq, fn: fn, dst: o.dst})
+func (o *outboundDir) Send(at simtime.Time, dir, seq uint64, fn func(any), arg any) {
+	o.src.outbox = append(o.src.outbox, msg{at: at, dir: dir, seq: seq, fn: fn, arg: arg, dst: o.dst})
 }
 
 // coord drives the shards through alternating stop-the-world control
@@ -293,7 +295,7 @@ func (c *coord) mergeExecuted() {
 func (c *coord) injectOutboxes() {
 	for _, sh := range c.shards {
 		for _, m := range sh.outbox {
-			c.shards[m.dst].sim.AtArrival(m.at, m.dir, m.seq, m.fn)
+			c.shards[m.dst].sim.AtArrival(m.at, m.dir, m.seq, m.fn, m.arg)
 		}
 		sh.outbox = sh.outbox[:0]
 	}
