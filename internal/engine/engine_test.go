@@ -208,3 +208,23 @@ func TestCancelTimer(t *testing.T) {
 		t.Fatal("cancelled event fired")
 	}
 }
+
+// TestDigestOrderSensitive checks that the digest mix does not commute:
+// folding the same two timestamps in the opposite order must give a
+// different hash. The run loop folds in time order, so a queue that
+// misordered two events would otherwise go unnoticed.
+func TestDigestOrderSensitive(t *testing.T) {
+	fold := func(ts ...simtime.Time) uint64 {
+		c := &core{hash: fnvOffset64}
+		for _, at := range ts {
+			c.fold(at)
+		}
+		return c.hash
+	}
+	for _, pair := range [][2]simtime.Time{{0, 1}, {10, 20}, {1 << 32, 1}, {simtime.Time(simtime.Millisecond), simtime.Time(simtime.Millisecond) + 1}} {
+		a, b := pair[0], pair[1]
+		if fold(a, b) == fold(b, a) {
+			t.Errorf("folding %d,%d and %d,%d gave the same digest", a, b, b, a)
+		}
+	}
+}

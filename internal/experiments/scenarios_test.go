@@ -113,26 +113,26 @@ func goldenFid() Fidelity {
 // running the sweep CLI's -check-determinism gate. On intentional model
 // changes, re-pin from the table the failure message prints.
 var goldenDigests = map[string]string{
-	"unfairness":        "134341:c4827a5f42258f5a",
-	"victimflow":        "327336:a2d8ae301c9a421f",
-	"convergence-fig13": "77428:791384209ba24bad",
-	"incast":            "16354:4de53a4836f8926d",
-	"benchmark-fig16":   "904023:e40f142e2c82b575",
-	"fig18":             "636381:cf764d7017e7041b",
-	"ablation-g":        "42008:1d65cbf579a9ad6b",
-	"ablation-rai":      "58443:f010bbe2887ce660",
-	"ablation-timer":    "98779:b75ae60629812b26",
-	"ablation-cnp":      "103709:cee22b0459ac7f71",
-	"randomloss":        "63473:6cfed2a6db7bd1a6",
+	"unfairness":        "134341:f49d5c1b70d49704",
+	"victimflow":        "327336:06932a93140a98a9",
+	"convergence-fig13": "77428:4bb0701adac63799",
+	"incast":            "16354:87b0ee236b73db17",
+	"benchmark-fig16":   "904023:47c8dbc11be25074",
+	"fig18":             "636381:d987e9cfa5d1467e",
+	"ablation-g":        "42008:5cff057871076a90",
+	"ablation-rai":      "58443:584fb606c452f6db",
+	"ablation-timer":    "98779:aa141b61c572cd01",
+	"ablation-cnp":      "103709:53983ff579e92eb3",
+	"randomloss":        "63473:5e5b7b804cc8d11c",
 
 	// Chaos suite: digests cover the fault-injection subsystem too — an
 	// injector that drew from the primary stream or armed transitions
 	// nondeterministically would shift these.
-	"chaos-pause-storm":    "63538:b9bdad35a1b87048",
-	"chaos-flap-incast":    "68496:f81572c870421fcf",
-	"chaos-lossy-link":     "11656:e5cf5705e45b4d58",
-	"chaos-victim-storm":   "242323:28b68082a545f006",
-	"chaos-deadlock-probe": "270759:cc3f6b9fe61858d9",
+	"chaos-pause-storm":    "63538:d4d3f6965841a6d6",
+	"chaos-flap-incast":    "68496:9f528e091e1ff6c6",
+	"chaos-lossy-link":     "11656:bd8eb7b58a685dc4",
+	"chaos-victim-storm":   "242323:ebd5635d83493b6e",
+	"chaos-deadlock-probe": "270759:24883f55917a4a7f",
 }
 
 func TestGoldenDigests(t *testing.T) {
