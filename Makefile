@@ -11,9 +11,9 @@ GO ?= go
 # same code (testdata fixtures are excluded by pattern expansion).
 PKGS ?= ./...
 
-.PHONY: check fmt vet lint build test race faults invariants flightrec parallel cc hybrid bench-test escape escape-update alloc-budgets bench bench-json sweep-smoke sweep chaos clean
+.PHONY: check fmt vet lint build test race faults invariants flightrec cc hybrid bench-test escape escape-update alloc-budgets bench bench-json sweep-smoke sweep chaos clean
 
-check: fmt vet lint build faults race invariants flightrec parallel cc hybrid bench-test
+check: fmt vet lint build faults race invariants flightrec cc hybrid bench-test
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -22,12 +22,12 @@ fmt:
 vet:
 	$(GO) vet $(PKGS)
 
-# Contract static analysis (internal/lint). Determinism family:
-# walltime, globalrand, maporder, floateq, simtime. Physics family:
-# noconc, eventpast, acctfield. Allocation family: hotalloc, hotdefer,
-# hotchain over //hot:path functions and the hot packages.
-# Interprocedural contracts family: ccability, hookpassive, streamshard
-# over one shared call-graph summary (internal/lint/callgraph).
+# Contract static analysis (internal/lint), 13 analyzers. Determinism
+# family: walltime, globalrand, maporder, floateq, simtime. Physics
+# family: noconc, eventpast, acctfield. Allocation family: hotalloc,
+# hotdefer, hotchain over //hot:path functions and the hot packages.
+# Interprocedural contracts family: ccability, hookpassive over one
+# shared call-graph summary (internal/lint/callgraph).
 # Suppressions live in lint.json; the second step diffs the compiler's
 # actual escape decisions for the hot packages against escape.golden,
 # so a new heap escape fails the gate even if no AST pattern caught it.
@@ -71,7 +71,7 @@ faults:
 
 # Physics contract at runtime: the whole suite with the conservation
 # auditor compiled in (internal/invariant, DESIGN.md §9) — which also
-# re-verifies every golden digest with the auditor armed inside the
+# runs the golden-digest matrix with the auditor armed inside the
 # chaos scenarios — then a chaos smoke in the tagged build so the
 # auditor watches a real fault-injection sweep end to end.
 invariants:
@@ -105,27 +105,15 @@ cc:
 	$(GO) run ./cmd/dcqcn-sweep -cc dcqcn,timely -scenario incast -seeds 1 \
 		-check-determinism -quiet -out cc-out
 
-# Sharded runtime gate (internal/parallel): the package's own tests —
-# partition soundness, merge-order interleaving invariance, fallback
-# paths — under the race detector, then the sharded golden-digest
-# equivalence: all 16 registered scenarios at 2, 4 and 8 shards must
-# produce digests bit-identical to sequential runs. Finishes with a
-# sweep smoke through the -shards CLI path, determinism gate on.
-parallel:
-	$(GO) test -race ./internal/parallel/... ./internal/topology/...
-	$(GO) test -race -run TestGoldenDigestsSharded -count=1 ./internal/experiments/
-	$(GO) run ./cmd/dcqcn-sweep -scenario unfairness -shards 4 -seeds 1 \
-		-check-determinism -quiet -out sweep-out
-
 # Hybrid fluid/packet co-simulation gate (internal/hybrid, DESIGN §15):
 # the fluid-law and substrate unit tests (passivity, coupling, alloc
-# budget, overload saturation), the experiment-suite gates (hybrid-off
-# golden digests, validation acceptance against pure-packet ground
-# truth), and a validation sweep through the CLI path with the
-# determinism gate on.
+# budget, overload saturation), the experiment-suite gates (the
+# hybrid-off row of the golden-digest matrix, validation acceptance
+# against pure-packet ground truth), and a validation sweep through the
+# CLI path with the determinism gate on.
 hybrid:
 	$(GO) test -count=1 ./internal/fluid/ ./internal/hybrid/
-	$(GO) test -count=1 -run 'TestGoldenDigestsHybridOff|TestHybrid|TestRegisterHybridScenarios' \
+	$(GO) test -count=1 -run 'TestGoldenDigests/hybrid-off|TestHybrid|TestRegisterHybridScenarios' \
 		./internal/experiments/
 	$(GO) run ./cmd/dcqcn-sweep -scenario hybrid-validate -seeds 1 \
 		-check-determinism -quiet -out hybrid-out
@@ -141,15 +129,13 @@ bench:
 	$(GO) test -run=NONE -bench=BenchmarkSweep -benchtime=1x .
 
 # Machine-readable benchmark artifacts: flight-recorder overhead
-# (armed vs disarmed incast), the sharded-runtime speedup (sequential
-# vs 2/4/8 shards on a cross-pod incast, digest-checked), the hot-path
-# allocation budgets (ns/op + allocs/op for eventq push/pop, link
-# transmit, switch forward, recorder append), and the hybrid-substrate
-# scaling (ns/sim-ms at 0/10k/100k/1M background flows plus the
-# speedup over a packet-equivalent extrapolation).
+# (armed vs disarmed incast), the hot-path allocation budgets (ns/op +
+# allocs/op for eventq push/pop, link transmit, switch forward,
+# recorder append), and the hybrid-substrate scaling (ns/sim-ms at
+# 0/10k/100k/1M background flows plus the speedup over a
+# packet-equivalent extrapolation).
 bench-json:
 	BENCH_JSON=BENCH_5.json $(GO) test -run TestBenchArtifact -v .
-	BENCH_JSON=BENCH_6.json $(GO) test -run TestShardedBenchArtifact -v .
 	BENCH_JSON=$(CURDIR)/BENCH_7.json $(GO) test -run TestAllocBudgetArtifact -v ./internal/flightrec/
 	BENCH_JSON=$(CURDIR)/BENCH_8.json $(GO) test -run TestCCBenchArtifact -v ./internal/cc/
 	BENCH_JSON=BENCH_10.json $(GO) test -run TestHybridBenchArtifact -v .

@@ -1,7 +1,7 @@
 // Command dcqcn-lint is the determinism- and physics-contract
 // multichecker: it runs the internal/lint analyzers (walltime,
 // globalrand, maporder, floateq, simtime, noconc, eventpast, acctfield,
-// hotalloc, hotdefer, hotchain, ccability, hookpassive, streamshard)
+// hotalloc, hotdefer, hotchain, ccability, hookpassive)
 // over the requested packages and exits non-zero on findings. `make
 // lint` wires it into `make check`, so contract violations fail before
 // any simulation runs. The interprocedural analyzers share one

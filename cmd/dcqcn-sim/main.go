@@ -7,7 +7,7 @@
 //	dcqcn-sim [-senders 8] [-chunk 2000000] [-duration 50ms] [-seed 1]
 //	          [-mode dcqcn|pfc|nopfc] [-kmin 5000] [-kmax 200000]
 //	          [-pmax 0.01] [-g 0.00390625] [-timer 55us] [-bc 10000000]
-//	          [-shards N] [-cc name] [-hybrid] [-bg-flows N]
+//	          [-cc name] [-hybrid] [-bg-flows N]
 //
 // -cc swaps the congestion-control algorithm (internal/cc registry name:
 // dcqcn, timely, dctcp, switch-assist, policy, ...). With a non-default
@@ -42,7 +42,6 @@ func main() {
 	g := flag.Float64("g", 1.0/256, "DCQCN alpha gain g")
 	timer := flag.Duration("timer", 55*time.Microsecond, "rate increase timer")
 	bc := flag.Int64("bc", 10_000_000, "byte counter (bytes)")
-	shards := flag.Int("shards", 0, "shard the simulation across N cores (star rigs cannot split and stay sequential)")
 	ccName := flag.String("cc", "dcqcn", "congestion-control algorithm (internal/cc registry name)")
 	hybrid := flag.Bool("hybrid", false, "arm the fluid background substrate (see -bg-flows)")
 	bgFlows := flag.Int("bg-flows", 0, "background flows modeled as fluid classes (> 0 implies -hybrid)")
@@ -58,7 +57,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := dcqcn.DefaultOptions().WithDCQCN(params).WithShards(*shards)
+	opts := dcqcn.DefaultOptions().WithDCQCN(params)
 	switch *mode {
 	case "dcqcn":
 	case "pfc":

@@ -12,7 +12,7 @@
 //
 //	dcqcn-sweep [-scenario name,glob*] [-parallel N] [-reruns N]
 //	            [-seeds N] [-out dir] [-full] [-check-determinism]
-//	            [-bench] [-list] [-quiet] [-record] [-shards N]
+//	            [-bench] [-list] [-quiet] [-record]
 //	            [-cc name[,name...]] [-cc-params json] [-list-cc]
 //	            [-hybrid] [-bg-flows N]
 //
@@ -65,7 +65,6 @@ func main() {
 		list     = flag.Bool("list", false, "list scenarios and exit")
 		quiet    = flag.Bool("quiet", false, "suppress per-run progress")
 		record   = flag.Bool("record", false, "arm the flight recorder on every run (passivity proof; recorded in provenance)")
-		shards   = flag.Int("shards", 0, "shard each simulation across N cores (internal/parallel; digests unchanged)")
 		ccSpec   = flag.String("cc", "dcqcn", "comma-separated congestion-control algorithms (see -list-cc)")
 		ccParams = flag.String("cc-params", "", "JSON object overlaid onto the selected algorithm's default params (single -cc only)")
 		listCC   = flag.Bool("list-cc", false, "list registered cc algorithms with default params as JSON and exit")
@@ -117,7 +116,6 @@ func main() {
 		baseFid = experiments.Full()
 		fidName = "full"
 	}
-	baseFid.Shards = *shards
 	baseFid.Hybrid = *hybrid || *bgFlows > 0
 	baseFid.BgFlows = *bgFlows
 
@@ -170,7 +168,6 @@ func main() {
 		prov := harness.NewProvenance("dcqcn-sweep")
 		prov.Parallel = *parallel
 		prov.Reruns = *reruns
-		prov.Shards = *shards
 		prov.Determinism = *checkDet
 		prov.Fidelity = fidName
 		prov.Hybrid = fid.Hybrid

@@ -126,7 +126,7 @@ func newSwitchAssist(p Params, clock core.Clock) Controller {
 
 // switchAssistSampler is the fabric side: per-flow byte counting while
 // the queue exceeds QMin, one Hint per HintBytes. It is deterministic
-// and clockless, so it needs no per-shard rebinding.
+// and clockless.
 func switchAssistSampler(p Params, _ FabricContext) SamplerFunc {
 	sp := p.(*SwitchAssistParams)
 	counted := map[packet.FlowID]int64{}

@@ -11,12 +11,12 @@
 // Two handles exist per core. New returns the *control* handle, held by
 // scenario and harness code (tickers, measurement probes, fault
 // transitions); Model returns the *model* handle the topology layer gives
-// to switches, NICs and links. The distinction fixes the equal-time event
-// order (control before arrivals before local model events, see
-// internal/eventq) so that the sharded parallel runtime
-// (internal/parallel) — which runs control events stop-the-world and model
-// events on per-shard cores — executes the same event sequence as a
-// sequential run wherever the order is observable.
+// to switches, NICs and links. The handle's class is the first part of
+// the equal-time order, (class, k1, k2) — see internal/eventq: at one
+// timestamp control events fire first, so probes and fault transitions
+// observe the state before same-instant model activity; then link
+// arrivals, ordered by (direction ID, frame sequence); then local model
+// events, in scheduling order.
 package engine
 
 import (
@@ -38,7 +38,6 @@ type core struct {
 	halted bool
 	pushes uint64 // equal-time ordinal for control/local pushes
 	ids    uint64 // link-direction ID allocator (NextID)
-	runner func(until simtime.Time)
 }
 
 // Sim is a scheduling handle onto a simulator core. The zero value is not
@@ -91,9 +90,10 @@ func (s *Sim) NewStream(seed int64) *rand.Rand {
 }
 
 // NextID allocates a small unique ordinal from the core. The link layer
-// uses it to give every link direction an identity that is stable across
-// sequential and sharded runs: topologies are always constructed on the
-// initial core, in program order, before any sharding happens.
+// uses it to give every link direction an identity — the primary
+// equal-time key of its arrivals and the seed of its loss stream. IDs
+// follow construction order, so they are a pure function of the
+// topology.
 func (s *Sim) NextID() uint64 {
 	id := s.c.ids
 	s.c.ids++
@@ -117,11 +117,6 @@ const (
 // digests; a mismatch means nondeterminism crept in (map iteration,
 // shared RNG, wall-clock leakage). The sweep harness uses this as its
 // determinism gate.
-//
-// Because the ordinal is just the event's position in the time-sorted
-// execution sequence, the digest is a function of the sorted multiset of
-// executed timestamps — which is what lets the sharded runtime reproduce
-// it exactly by merging per-shard executed-event streams in time order.
 type Digest struct {
 	Events uint64 `json:"events"`
 	Hash   uint64 `json:"hash"`
@@ -153,14 +148,6 @@ func (c *core) fold(t simtime.Time) {
 	c.mix(c.events)
 }
 
-// FoldExecuted merges one event executed elsewhere (on a shard core) into
-// this core's digest, as if the run loop had executed it here. The
-// parallel coordinator calls it with every shard-executed event in global
-// time order.
-//
-//hot:path
-func (s *Sim) FoldExecuted(t simtime.Time) { s.c.fold(t) }
-
 // At schedules fn to run at absolute time t and returns a cancellable
 // handle. Scheduling in the past panics: it always indicates a model bug,
 // and silently reordering time would corrupt results.
@@ -180,14 +167,11 @@ func (s *Sim) At(t simtime.Time, fn func()) eventq.Handle {
 }
 
 // AtArrival schedules a link-arrival event: fn(arg) runs at time t,
-// ordered at equal timestamps by the link direction ID and the
+// after control events and before local model events at the same
+// timestamp, and ordered among arrivals by the link direction ID and the
 // per-direction frame sequence number rather than by insertion order.
-// Those keys are intrinsic to the traffic, so the order is identical
-// whether the sending link endpoint lives on this core (sequential run)
-// or on another shard whose frames are merged in at a window boundary
-// (sharded run). The link passes one continuation per direction, bound
-// at construction, and the frame as arg, so an arrival allocates
-// nothing.
+// The link passes one continuation per direction, bound at
+// construction, and the frame as arg, so an arrival allocates nothing.
 //
 //hot:path
 func (s *Sim) AtArrival(t simtime.Time, dir, seq uint64, fn func(any), arg any) eventq.Handle {
@@ -215,36 +199,15 @@ func (s *Sim) After(d simtime.Duration, fn func()) eventq.Handle {
 func (s *Sim) Cancel(h eventq.Handle) { s.c.queue.Cancel(h) }
 
 // Halt stops the run loop after the current event returns. Pending events
-// remain queued; Run can be called again to continue. Halt is a
-// sequential-run facility; the sharded runner ignores it.
+// remain queued; Run can be called again to continue.
 func (s *Sim) Halt() { s.c.halted = true }
-
-// SetRunner installs a replacement run loop: Run(until) delegates to fn
-// instead of executing events locally. The parallel runtime installs its
-// window coordinator here after partitioning a topology; fn is expected
-// to drive the shard cores and fold their executed events back into this
-// core so Digest stays faithful.
-func (s *Sim) SetRunner(fn func(until simtime.Time)) { s.c.runner = fn }
 
 // Run executes events until the queue is empty or simulated time would
 // pass until. Events scheduled exactly at until still execute. It returns
-// the number of events executed by this call. If a runner was installed
-// with SetRunner, Run delegates to it.
-func (s *Sim) Run(until simtime.Time) uint64 {
-	if s.c.runner != nil {
-		start := s.c.events
-		s.c.runner(until)
-		return s.c.events - start
-	}
-	return s.RunLocal(until)
-}
-
-// RunLocal is Run without runner delegation: it always executes this
-// core's own queue. The parallel coordinator uses it for stop-the-world
-// control turns; everything else should call Run.
+// the number of events executed by this call.
 //
 //hot:path
-func (s *Sim) RunLocal(until simtime.Time) uint64 {
+func (s *Sim) Run(until simtime.Time) uint64 {
 	c := s.c
 	c.halted = false
 	start := c.events
@@ -269,53 +232,6 @@ func (s *Sim) RunLocal(until simtime.Time) uint64 {
 		c.now = until
 	}
 	return c.events - start
-}
-
-// RunWindow executes this core's events with timestamps strictly before
-// horizon and appends each executed event's time to executed, which is
-// returned (pass a reused buffer to avoid allocation). Unlike Run it does
-// not fold the digest — the coordinator folds the merged streams into the
-// control core — and does not advance the clock past the last executed
-// event; the coordinator advances it explicitly with SetNow at each
-// window boundary.
-//
-//hot:path
-func (s *Sim) RunWindow(horizon simtime.Time, executed []simtime.Time) []simtime.Time {
-	c := s.c
-	for {
-		head := c.queue.Peek()
-		if head == nil || head.At >= horizon {
-			break
-		}
-		e := c.queue.Pop()
-		c.auditPop(e.At)
-		c.now = e.At
-		executed = append(executed, e.At)
-		e.Fire()
-	}
-	return executed
-}
-
-// NextEventTime returns the timestamp of the earliest pending event, or
-// simtime.Forever if the queue is empty.
-//
-//hot:path
-func (s *Sim) NextEventTime() simtime.Time {
-	if head := s.c.queue.Peek(); head != nil {
-		return head.At
-	}
-	return simtime.Forever
-}
-
-// SetNow advances the clock to t without executing events; it never moves
-// the clock backwards. The parallel coordinator uses it to keep every
-// core's clock in lockstep at window boundaries.
-//
-//hot:path
-func (s *Sim) SetNow(t simtime.Time) {
-	if t > s.c.now {
-		s.c.now = t
-	}
 }
 
 // RunAll executes events until the queue drains completely.

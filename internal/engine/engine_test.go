@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"dcqcn/internal/simtime"
@@ -226,5 +227,31 @@ func TestDigestOrderSensitive(t *testing.T) {
 		if fold(a, b) == fold(b, a) {
 			t.Errorf("folding %d,%d and %d,%d gave the same digest", a, b, b, a)
 		}
+	}
+}
+
+// TestEqualTimeOrder pins the equal-time rule (class, k1, k2) at the
+// engine: at one timestamp control events fire first, then link
+// arrivals, then local model events, whatever order they were scheduled
+// in; arrivals among themselves fire in (direction, sequence) order, not
+// insertion order.
+func TestEqualTimeOrder(t *testing.T) {
+	const at = 100
+	s := New(1)
+	m := s.Model()
+	var got []string
+	note := func(name string) func() { return func() { got = append(got, name) } }
+	arrive := func(name any) { got = append(got, name.(string)) }
+
+	m.At(at, note("local"))
+	m.AtArrival(at, 2, 0, arrive, "arrival 2/0")
+	m.AtArrival(at, 1, 5, arrive, "arrival 1/5")
+	m.AtArrival(at, 1, 4, arrive, "arrival 1/4")
+	s.At(at, note("control"))
+	s.Run(at)
+
+	want := []string{"control", "arrival 1/4", "arrival 1/5", "arrival 2/0", "local"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("equal-time order %v, want %v", got, want)
 	}
 }

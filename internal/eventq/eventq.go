@@ -2,37 +2,27 @@
 // discrete-event simulator.
 //
 // Events are ordered by timestamp; events with equal timestamps fire in a
-// deterministic order given by a three-part key the engine assigns. The key
-// is designed to be *mode-independent*: the sharded parallel runtime
-// (internal/parallel) executes each topology shard on its own queue, and
-// any ordering rule based on a single global insertion counter would differ
-// between the sequential and sharded runs. Instead, equal-time events are
-// ordered by
+// deterministic order given by a three-part key the engine assigns:
 //
 //	(class, k1, k2)
 //
 // where class separates control-plane events (scenario tickers, fault
 // transitions), link-arrival events, and local model events; link arrivals
 // carry an intrinsic (link direction ID, per-direction frame sequence) key;
-// and local events carry a per-queue scheduling ordinal. Each component of
-// the key is reproducible whether the model runs on one queue or many,
-// which is what makes whole simulations — sequential or sharded —
-// bit-identical.
+// and control and local events carry the engine's scheduling ordinal. The
+// order depends only on what was scheduled, never on heap layout, which is
+// what makes a whole simulation bit-identical from its seed.
 package eventq
 
 import "dcqcn/internal/simtime"
 
 // Event classes, in execution order at equal timestamps. Control events
 // fire first so that measurements and fault transitions observe the state
-// *before* same-instant model activity — the same order the sharded
-// runtime naturally produces, because control turns are stop-the-world
-// and run before the window that executes the model events sharing their
-// timestamp. Link arrivals precede local model events: an arrival is the
-// continuation of a departure the far end already committed, so it keeps
-// seniority over work scheduled at its own destination — and its
-// intrinsic (direction, sequence) key lets the sharded runtime inject it
-// at a window boundary into exactly the slot a sequential run would have
-// used.
+// *before* same-instant model activity. Link arrivals precede local model
+// events: an arrival is the continuation of a departure the far end
+// already committed, so it keeps seniority over work scheduled at its own
+// destination. Among themselves, arrivals fire in (direction, sequence)
+// order, fixed by the traffic rather than by when they were scheduled.
 const (
 	ClassControl uint8 = iota // scenario/harness/fault-injection events
 	ClassArrival              // frame arrivals at the far end of a link
@@ -104,8 +94,7 @@ func (h Handle) Pending() bool {
 
 // Queue is a binary min-heap of events. The zero value is an empty queue
 // ready for use. Queue is not safe for concurrent use; each simulator
-// core is single-threaded by design, and the parallel runtime gives every
-// shard its own queue.
+// core is single-threaded by design.
 type Queue struct {
 	heap []*Event
 	ord  uint64 // insertion ordinal for the convenience Push

@@ -83,7 +83,7 @@ func BenchmarkRun(cfg BenchmarkConfig, run uint64, fid Fidelity) (BenchmarkResul
 	if depth < 1 {
 		depth = 1
 	}
-	net := topologyTestbed(cfg.Mode, run, fid.Shards, fid)
+	net := topologyTestbed(cfg.Mode, run, fid)
 	open := openFlow(net)
 	// Placement and workload randomness come from a dedicated engine
 	// stream (determinism contract: no private rand.New sources outside
@@ -130,11 +130,10 @@ func BenchmarkRun(cfg BenchmarkConfig, run uint64, fid Fidelity) (BenchmarkResul
 	//
 	// Per-pair state only: transfer sizes come from a pair-private
 	// stream and samples land in a pair-private bucket, merged in pair
-	// order after the run. The completion callbacks run on the sending
-	// host's core, so in a sharded run pairs on different shards must
-	// not share an RNG or a sample slice — and draw order staying
-	// per-pair is also what keeps the workload identical between
-	// sequential and sharded execution.
+	// order after the run. A pair's size draws then depend only on its
+	// own completions, not on how completions of different pairs
+	// interleave, so a timing change in one pair leaves every other
+	// pair's workload unchanged.
 	userSamples := make([]stats.Sample, cfg.Pairs)
 	for i := 0; i < cfg.Pairs; i++ {
 		src := hosts[rng.Intn(len(hosts))]

@@ -307,7 +307,6 @@ func registerChaosLossyLink(reg *harness.Registry, fid Fidelity, seeds []int64) 
 // only the T1 uplinks with the feeders collapses too.
 func ChaosVictimStormRun(mode Mode, run uint64, fid Fidelity) (harness.Metrics, engine.Digest) {
 	opts := options(mode, run*7919+9, fid)
-	opts.Shards = fid.Shards
 	net := topology.NewTestbed(int64(run)*104729+19, opts)
 	tl := newChaosTimeline(fid)
 	aud := invariant.Attach(net)
@@ -372,7 +371,6 @@ func ChaosDeadlockProbeRun(run uint64, fid Fidelity) (harness.Metrics, engine.Di
 	// so steady-state congestion alone cannot close the wait graph: the
 	// cycle the poller finds is the storm's doing, not the workload's.
 	opts.NIC.Controller = nic.FixedRateFactory(10 * simtime.Gbps)
-	opts.Shards = fid.Shards
 	net := topology.NewRing(int64(run)*104729+23, 4, opts)
 	tl := newChaosTimeline(fid)
 	aud := invariant.Attach(net)

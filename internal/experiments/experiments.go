@@ -16,10 +16,6 @@ import (
 	"dcqcn/internal/core"
 	"dcqcn/internal/hybrid"
 	"dcqcn/internal/nic"
-
-	// Register the sharded runtime: any scenario built with
-	// Options.Shards > 1 runs on the parallel coordinator.
-	_ "dcqcn/internal/parallel"
 	"dcqcn/internal/rocev2"
 	"dcqcn/internal/simtime"
 	"dcqcn/internal/topology"
@@ -70,11 +66,6 @@ type Fidelity struct {
 	Warmup simtime.Duration
 	// Runs is the number of random repetitions (seeds) per data point.
 	Runs int
-	// Shards, when > 1, runs each simulation sharded across that many
-	// cores (internal/parallel). Results and digests are bit-identical
-	// to sequential runs; topologies that cannot split (stars) fall
-	// back to sequential quietly.
-	Shards int
 	// CC selects the congestion-control algorithm by registry name for
 	// the DCQCN modes of every scenario (the PFC-only baseline keeps its
 	// fixed-rate sender). Empty means "dcqcn" — the deployed algorithm,

@@ -7,44 +7,6 @@ import (
 	"dcqcn/internal/simtime"
 )
 
-// TestGoldenDigestsHybridOff is the suite-wide passivity gate for the
-// hybrid subsystem: arming the substrate with zero background flows
-// must leave every scenario's engine digest bit-identical to the
-// pinned golden table. If this fails while TestGoldenDigests passes,
-// the armer itself perturbs the event stream — BgFlows=0 arming must
-// be free.
-func TestGoldenDigestsHybridOff(t *testing.T) {
-	fid := goldenFid()
-	fid.Hybrid = true
-	fid.BgFlows = 0
-	reg := testRegistry(t, fid)
-	for _, sc := range reg.All() {
-		res := sc.Run(harness.RunContext{
-			Scenario: sc.Name, Point: sc.Points[0], PointIdx: 0, Seed: 0,
-		})
-		want, ok := goldenDigests[sc.Name]
-		if !ok {
-			t.Errorf("scenario %q has no golden digest", sc.Name)
-			continue
-		}
-		if got := res.Digest.String(); got != want {
-			t.Errorf("scenario %q with hybrid armed at 0 flows: %s", sc.Name, diagnoseDigest(got, want))
-		}
-	}
-
-	// Non-vacuity: the same arming with a nonzero flow count must shift
-	// a digest — otherwise the gate above would pass even if arming were
-	// silently ignored.
-	fid.BgFlows = 1000
-	live := harness.NewRegistry()
-	RegisterScenarios(live, fid)
-	sc, _ := live.Get("incast")
-	res := sc.Run(harness.RunContext{Scenario: sc.Name, Point: sc.Points[0], Seed: 0})
-	if res.Digest.String() == goldenDigests["incast"] {
-		t.Fatal("incast digest unchanged with 1000 background flows — hybrid arming is not reaching the scenarios")
-	}
-}
-
 // TestRegisterHybridScenarios pins the hybrid scenario names and checks
 // they coexist with the main registry (the CLIs register both).
 func TestRegisterHybridScenarios(t *testing.T) {

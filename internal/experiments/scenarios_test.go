@@ -3,10 +3,12 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"dcqcn/internal/flightrec"
 	"dcqcn/internal/harness"
 	"dcqcn/internal/simtime"
 )
@@ -135,29 +137,85 @@ var goldenDigests = map[string]string{
 	"chaos-deadlock-probe": "270759:24883f55917a4a7f",
 }
 
+// TestGoldenDigests is the golden matrix: in every row, each registered
+// scenario's seed-0 run on its first grid point must reproduce its
+// pinned digest. The plain row guards the model itself. The armed rows
+// are passivity gates — the flight recorder armed, and the hybrid
+// substrate armed at zero background flows, must not perturb any run —
+// and each proves it is not vacuous: the recorder must capture events
+// in every scenario, and the same hybrid arming at 1000 flows must move
+// incast off its golden. `make invariants` runs the same matrix in the
+// invariants build.
 func TestGoldenDigests(t *testing.T) {
-	reg := testRegistry(t, goldenFid())
-	got := make(map[string]string)
-	for _, sc := range reg.All() {
-		res := sc.Run(harness.RunContext{
-			Scenario: sc.Name,
-			Point:    sc.Points[0],
-			PointIdx: 0,
-			Seed:     0,
-		})
-		got[sc.Name] = res.Digest.String()
+	defer flightrec.Disarm()
+	hybridOff := goldenFid()
+	hybridOff.Hybrid = true
+	rows := []struct {
+		name string
+		fid  Fidelity
+		// blame names what a digest mismatch in this row indicts; empty
+		// for the plain row, whose mismatches are model changes.
+		blame string
+		// arm, if set, arms the row's mechanism before one scenario's
+		// run and returns the check that it engaged in that run.
+		arm func() (engaged func() error)
+		// live, if set, runs once after the scenarios to show that the
+		// row's mechanism reaches them at all.
+		live func(t *testing.T, fid Fidelity)
+	}{
+		{name: "plain", fid: goldenFid()},
+		{name: "recorder", fid: goldenFid(), blame: "the flight recorder perturbed the run", arm: armRecorder},
+		{name: "hybrid-off", fid: hybridOff, blame: "hybrid arming at 0 flows perturbed the run", live: hybridReachesScenarios},
 	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			reg := testRegistry(t, row.fid)
+			got := make(map[string]string)
+			for _, sc := range reg.All() {
+				var engaged func() error
+				if row.arm != nil {
+					engaged = row.arm()
+				}
+				res := sc.Run(harness.RunContext{
+					Scenario: sc.Name,
+					Point:    sc.Points[0],
+					PointIdx: 0,
+					Seed:     0,
+				})
+				got[sc.Name] = res.Digest.String()
+				if engaged != nil {
+					if err := engaged(); err != nil {
+						t.Errorf("scenario %q: %v", sc.Name, err)
+					}
+				}
+			}
+			checkGolden(t, reg.Names(), got, row.blame)
+			if row.live != nil {
+				row.live(t, row.fid)
+			}
+		})
+	}
+}
 
+// checkGolden compares one matrix row's digests with the golden table.
+// Only the plain row prints a replacement table: a mismatch in an armed
+// row indicts the armed mechanism, not the table.
+func checkGolden(t *testing.T, names []string, got map[string]string, blame string) {
+	t.Helper()
 	mismatch := false
 	firstDiverged := ""
-	for _, name := range reg.Names() {
+	for _, name := range names {
 		want, ok := goldenDigests[name]
 		switch {
 		case !ok:
 			t.Errorf("scenario %q has no golden digest", name)
 			mismatch = true
 		case got[name] != want:
-			t.Errorf("scenario %q: %s", name, diagnoseDigest(got[name], want))
+			msg := diagnoseDigest(got[name], want)
+			if blame != "" {
+				msg += " — " + blame
+			}
+			t.Errorf("scenario %q: %s", name, msg)
 			if firstDiverged == "" {
 				firstDiverged = name
 			}
@@ -165,7 +223,7 @@ func TestGoldenDigests(t *testing.T) {
 		}
 	}
 	if firstDiverged != "" {
-		t.Logf("first diverging scenario in registration order: %q — rerun it alone with `go test -run TestGoldenDigests` after re-pinning, or bisect the model change against it", firstDiverged)
+		t.Logf("first diverging scenario in registration order: %q — rerun it alone with `go test -run TestGoldenDigests/plain` after re-pinning, or bisect the model change against it", firstDiverged)
 	}
 	for name := range goldenDigests {
 		if _, ok := got[name]; !ok {
@@ -173,12 +231,48 @@ func TestGoldenDigests(t *testing.T) {
 			mismatch = true
 		}
 	}
-	if mismatch {
+	if mismatch && blame == "" {
 		var b strings.Builder
-		for _, name := range reg.Names() {
+		for _, name := range names {
 			fmt.Fprintf(&b, "\t%q: %q,\n", name, got[name])
 		}
 		t.Logf("replacement golden table:\n%s", b.String())
+	}
+}
+
+// armRecorder arms the flight recorder for one scenario's run. The
+// returned check disarms it and requires that the run built a network
+// and recorded events, so a silently detached recorder cannot pass.
+func armRecorder() func() error {
+	var recs []*flightrec.Recorder
+	flightrec.Arm(flightrec.Config{}, func(r *flightrec.Recorder) { recs = append(recs, r) })
+	return func() error {
+		flightrec.Disarm()
+		if len(recs) == 0 {
+			return errors.New("built no network through topology.OnBuild")
+		}
+		total := 0
+		for _, r := range recs {
+			total += r.EventsRecorded()
+		}
+		if total == 0 {
+			return errors.New("recorder armed but captured nothing")
+		}
+		return nil
+	}
+}
+
+// hybridReachesScenarios reruns incast with the hybrid row's arming at
+// 1000 background flows: its digest must leave the golden, or the row
+// would pass even if arming were silently ignored.
+func hybridReachesScenarios(t *testing.T, fid Fidelity) {
+	fid.BgFlows = 1000
+	reg := harness.NewRegistry()
+	RegisterScenarios(reg, fid)
+	sc, _ := reg.Get("incast")
+	res := sc.Run(harness.RunContext{Scenario: sc.Name, Point: sc.Points[0], Seed: 0})
+	if res.Digest.String() == goldenDigests["incast"] {
+		t.Error("incast digest unchanged with 1000 background flows — hybrid arming is not reaching the scenarios")
 	}
 }
 

@@ -58,16 +58,15 @@ func UnfairnessRun(mode Mode, run uint64, fid Fidelity) ([]*stats.Sample, engine
 	for i := range samples {
 		samples[i] = &stats.Sample{}
 	}
-	net := topologyTestbed(mode, run, fid.Shards, fid)
+	net := topologyTestbed(mode, run, fid)
 	open := openFlow(net)
 	warmEnd := simtime.Time(fid.Warmup)
 	for i, h := range hosts {
 		i := i
 		flow := open(h, receiver)
 		repostLoop(flow, 4*1000*1000, func(c rocev2.Completion) {
-			// Gate on the completion's own timestamp, not the control
-			// clock: in a sharded run this callback executes on the
-			// sender's shard core, where DoneAt is the current time.
+			// Gate on the completion's own timestamp, so the callback
+			// needs no clock: DoneAt is when the transfer finished.
 			if c.DoneAt >= warmEnd {
 				samples[i].Add(float64(c.Throughput()))
 			}
@@ -80,9 +79,8 @@ func UnfairnessRun(mode Mode, run uint64, fid Fidelity) ([]*stats.Sample, engine
 // topologyTestbed builds the Fig. 2 testbed for a mode and run index;
 // both the RNG seed and the ECMP hash seeds vary per run, as the paper's
 // repeated runs re-roll ECMP placement.
-func topologyTestbed(mode Mode, run uint64, shards int, fid Fidelity) *topology.Network {
+func topologyTestbed(mode Mode, run uint64, fid Fidelity) *topology.Network {
 	opts := options(mode, run*7919+1, fid)
-	opts.Shards = shards
 	return topology.NewTestbed(int64(run)*104729+7, opts)
 }
 
@@ -143,7 +141,7 @@ func VictimFlow(mode Mode, sendersUnderT3 []int, fid Fidelity) VictimFlowResult 
 // engine digest.
 func VictimFlowRun(mode Mode, extra int, run uint64, fid Fidelity) (*stats.Sample, engine.Digest) {
 	victim := &stats.Sample{}
-	net := topologyTestbed(mode, run, fid.Shards, fid)
+	net := topologyTestbed(mode, run, fid)
 	open := openFlow(net)
 	warmEnd := simtime.Time(fid.Warmup)
 	// Incast: H11..H14 -> R(H41). The transfers are large (long

@@ -93,9 +93,8 @@ type Switch struct {
 	// markRng drives probabilistic ECN marking. Each switch owns a
 	// private stream (derived from the simulation seed and the switch
 	// ID) so marking decisions depend only on the traffic this switch
-	// sees, not on how events interleave across the fabric — the
-	// property that lets the parallel runtime run switches on different
-	// cores and still reproduce the sequential run bit for bit.
+	// sees, not on how events interleave across the fabric: traffic
+	// elsewhere cannot shift this switch's draws.
 	markRng *rand.Rand
 
 	ports []*link.Port
@@ -196,16 +195,6 @@ func New(sim *engine.Sim, id packet.NodeID, name string, nPorts int, cfg Config)
 // simulation seed and the switch's node ID.
 func markStreamSeed(seed int64, id packet.NodeID) int64 {
 	return int64(uint64(seed)*0x9E3779B97F4A7C15 ^ (uint64(id)+1)*0x887237b65895041b)
-}
-
-// Rebind moves the switch — its scheduler and all its ports — onto
-// another simulator core. The parallel runtime calls it while assigning
-// a freshly built topology to shards, before any events exist.
-func (s *Switch) Rebind(sim *engine.Sim) {
-	s.sim = sim
-	for _, p := range s.ports {
-		p.Rebind(sim)
-	}
 }
 
 // Port returns port i for wiring by the topology layer.

@@ -32,8 +32,7 @@ type Injector struct {
 // streams derived from auxSeed via Sim.NewStream: pure functions of
 // auxSeed and each fault's plan index, independent of the primary
 // stream. Each lossy fault gets its own stream so draw order does not
-// couple faults on different links — which also keeps the draws
-// shard-local when the parallel runtime splits the topology.
+// couple faults on different links.
 func NewInjector(net *topology.Network, auxSeed int64) *Injector {
 	return &Injector{net: net, auxSeed: auxSeed}
 }

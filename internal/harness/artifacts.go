@@ -36,11 +36,7 @@ type Provenance struct {
 	NumCPU        int    `json:"num_cpu"`
 	Parallel      int    `json:"parallel"`
 	Reruns        int    `json:"reruns"`
-	// Shards records the per-run sharding degree (internal/parallel):
-	// 0 or 1 means every simulation ran sequentially. Distinct from
-	// Parallel, which fans whole runs over a worker pool.
-	Shards      int  `json:"shards"`
-	Determinism bool `json:"determinism_checked"`
+	Determinism   bool   `json:"determinism_checked"`
 	// Invariants records whether the binary was built with -tags
 	// invariants, i.e. whether the conservation auditor was armed in
 	// every chaos run this sweep executed.

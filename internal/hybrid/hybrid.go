@@ -23,8 +23,8 @@
 //
 // The integrator runs as ordinary control-class engine events on a
 // fixed simtime cadence (Config.Step), so it is deterministic, shows up
-// in the run digest, and — because control events are stop-the-world in
-// the sharded runtime — is race-free under internal/parallel. One step
+// in the run digest, and observes the fabric before same-instant model
+// events (control events fire first at equal timestamps). One step
 // costs O(ports + classes) regardless of how many flows each class
 // aggregates: a million background flows cost the same as ten.
 package hybrid

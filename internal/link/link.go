@@ -135,12 +135,6 @@ func NewPort(sim *engine.Sim, name string, index int, rate simtime.Rate, recv Re
 // Rate returns the port's line rate.
 func (p *Port) Rate() simtime.Rate { return p.rate }
 
-// Rebind moves the port onto another simulator core. The parallel runtime
-// calls it while partitioning a freshly built topology, before any events
-// exist; rebinding a port with traffic in progress would strand its
-// pending transmit events on the old core.
-func (p *Port) Rebind(sim *engine.Sim) { p.sim = sim }
-
 // Peer returns the port at the other end of the link, or nil if unwired.
 func (p *Port) Peer() *Port { return p.peer }
 
@@ -413,36 +407,22 @@ func (r DropReason) String() string {
 	return fmt.Sprintf("DropReason(%d)", uint8(r))
 }
 
-// Transport carries one direction of a link across a shard boundary in
-// the parallel runtime: instead of scheduling the arrival on the sender's
-// own core, deliver hands the direction's arrival continuation fn and the
-// frame arg — with the absolute arrival time and intrinsic (direction ID,
-// frame sequence) ordering key — to the transport, which the coordinator
-// later injects into the destination shard's queue via Sim.AtArrival.
-// Sequential runs never set a transport; the default path schedules
-// locally with the same key.
-type Transport interface {
-	Send(at simtime.Time, dir, seq uint64, fn func(any), arg any)
-}
-
 // Link is a full-duplex cable between two ports.
 //
 // Per-direction state is kept in two-element arrays indexed by direction
-// (0 = a→b, 1 = b→a, matching Ports). The split is what makes a link
-// safe to straddle a shard boundary: direction d's source-side fields
-// (frame sequence, bytes sent, entry-drop counters, loss stream) are only
-// touched by the sending shard, and its destination-side fields (arrival
-// sequence, bytes arrived, flap-kill counters) only by the receiving
-// shard, so no word is written from two cores.
+// (0 = a→b, 1 = b→a, matching Ports). Each direction is an independent
+// FIFO wire: its own frame numbering, flap watermark, loss stream and
+// conservation counters, so one direction's traffic never perturbs the
+// other's loss draws or arrival order.
 type Link struct {
 	a, b  *Port
 	delay simtime.Duration
 
-	// dirID gives each direction a topology-wide identity (allocated from
-	// the construction core), and dirSeq numbers the frames entering the
-	// wire in each direction. Together they are the intrinsic equal-time
-	// ordering key for arrival events — reproducible whether the arrival
-	// is scheduled locally or merged across a shard boundary.
+	// dirID gives each direction a topology-wide identity (allocated in
+	// construction order), and dirSeq numbers the frames entering the
+	// wire in each direction. Together they are the equal-time ordering
+	// key of arrival events, so simultaneous arrivals fire in an order
+	// fixed by the traffic, not by when they were scheduled.
 	dirID  [2]uint64
 	dirSeq [2]uint64
 	// arrive is each direction's arrival continuation, bound once in
@@ -454,10 +434,6 @@ type Link struct {
 	// by one port), so the arriving frame is always frame number
 	// arrSeq[d] of that direction.
 	arrSeq [2]uint64
-	// xport, if set for a direction, carries that direction's arrivals to
-	// another shard. nil means the destination port shares the sender's
-	// core and arrivals are scheduled directly.
-	xport [2]Transport
 
 	// lossRate is the probability an individual frame is corrupted in
 	// flight (per direction), modelling the non-congestion losses the
@@ -481,8 +457,8 @@ type Link struct {
 	// cable). Every state change sets the flap watermark flapSeq[d] to
 	// dirSeq[d]: the frames numbered below it were on the wire at some
 	// flap, so an arriving frame whose number is below the watermark is
-	// killed. Fault transitions run as control events — stop-the-world in
-	// the parallel runtime — so model code only ever reads these fields.
+	// killed. Fault transitions run as control events, so model code only
+	// ever reads these fields.
 	down    bool
 	flapSeq [2]uint64
 	// DropHook, if set, is consulted for every frame entering the link
@@ -512,8 +488,8 @@ type Link struct {
 }
 
 // Connect wires ports a and b with the given one-way propagation delay.
-// Both ports must be unconnected. sim must be the core the topology is
-// being constructed on; it allocates the direction IDs and loss streams.
+// Both ports must be unconnected. sim allocates the direction IDs and
+// loss streams.
 func Connect(sim *engine.Sim, a, b *Port, delay simtime.Duration) *Link {
 	if a.Connected() || b.Connected() {
 		panic("link: port already connected")
@@ -538,18 +514,6 @@ func Connect(sim *engine.Sim, a, b *Port, delay simtime.Duration) *Link {
 func lossStreamSeed(seed int64, dir uint64) int64 {
 	return int64(uint64(seed)*0x9E3779B97F4A7C15 ^ (dir+1)*0xD6E8FEB86659FD93)
 }
-
-// SetTransport installs a cross-shard transport for one direction
-// (0 = a→b, 1 = b→a, matching Ports). The parallel runtime calls it for
-// every link the partitioner cut; passing nil restores local delivery.
-func (l *Link) SetTransport(dir int, t Transport) { l.xport[dir] = t }
-
-// DirID returns the topology-wide identity of one direction (0 = a→b,
-// 1 = b→a), used as the primary equal-time ordering key of its arrivals.
-func (l *Link) DirID(dir int) uint64 { return l.dirID[dir] }
-
-// Delay returns the one-way propagation delay.
-func (l *Link) Delay() simtime.Duration { return l.delay }
 
 // Ports returns the link's two endpoints.
 func (l *Link) Ports() (*Port, *Port) { return l.a, l.b }
@@ -625,12 +589,7 @@ func (l *Link) deliver(from *Port, pkt *packet.Packet) {
 	l.sentBytes[d] += int64(pkt.Size)
 	seq := l.dirSeq[d]
 	l.dirSeq[d]++
-	at := from.sim.Now().Add(l.delay)
-	if x := l.xport[d]; x != nil {
-		x.Send(at, l.dirID[d], seq, l.arrive[d], pkt)
-		return
-	}
-	from.sim.AtArrival(at, l.dirID[d], seq, l.arrive[d], pkt)
+	from.sim.AtArrival(from.sim.Now().Add(l.delay), l.dirID[d], seq, l.arrive[d], pkt)
 }
 
 // arrival ends the propagation of pkt in direction d: the frame reaches

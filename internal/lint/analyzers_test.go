@@ -35,7 +35,7 @@ func TestSimtime(t *testing.T) {
 }
 
 func TestNoconc(t *testing.T) {
-	analysistest.Run(t, lint.Noconc, "noconc/model", "noconc/harness", "noconc/parallel")
+	analysistest.Run(t, lint.Noconc, "noconc/model", "noconc/harness")
 }
 
 func TestEventpast(t *testing.T) {
@@ -65,9 +65,4 @@ func TestCcability(t *testing.T) {
 func TestHookpassive(t *testing.T) {
 	analysistest.Run(t, lint.Hookpassive,
 		"hookpassive/model", "hookpassive/hooks", "hookpassive/engine")
-}
-
-func TestStreamshard(t *testing.T) {
-	analysistest.Run(t, lint.Streamshard,
-		"streamshard/model", "streamshard/harness", "streamshard/engine")
 }

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 
 	"dcqcn/internal/lint/analysis"
@@ -13,8 +14,8 @@ import (
 // judges call sites and hook registrations by what the callee can
 // transitively do, using internal/lint/callgraph effect summaries. The
 // driver builds one graph per invocation over every loaded package and
-// hands it to each pass; the three new analyzers (ccability,
-// hookpassive, streamshard) and the summary-consulting upgrades in
+// hands it to each pass; the two family analyzers (ccability,
+// hookpassive) and the summary-consulting upgrades in
 // walltime/globalrand/maporder all read the same graph, so the
 // fixpoint is paid once.
 
@@ -77,4 +78,17 @@ func graphFor(pass *analysis.Pass) *callgraph.Graph {
 	}
 	unit := &callgraph.Unit{Files: pass.Files, Pkg: pass.Pkg, Info: pass.TypesInfo}
 	return callgraph.For(ModelStateConfig(), pass.Fset, []*callgraph.Unit{unit})
+}
+
+// calleeFunc resolves a call's static callee object, or nil.
+func calleeFunc(pass *analysis.Pass, fun ast.Expr) *types.Func {
+	switch x := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		f, _ := pass.TypesInfo.Uses[x].(*types.Func)
+		return f
+	case *ast.SelectorExpr:
+		f, _ := pass.TypesInfo.Uses[x.Sel].(*types.Func)
+		return f
+	}
+	return nil
 }

@@ -16,10 +16,19 @@ import (
 // *rand.Rand — whose stream is a pure function of the run seed. The
 // sanctioned constructor sites are the engine package's New (the
 // primary source) and Sim.NewStream (derived auxiliary streams).
+//
+// Calls into exempt packages (cmd, harness) are judged by the shared
+// call graph (DESIGN.md §14): a model call whose callee transitively
+// draws from the global source or constructs a rand source is flagged
+// at the call site, where the per-package scan cannot see. A
+// package-level *rand.Rand in model code is flagged too: an ambient
+// stream is not threaded from the Sim, so it cannot be derived from
+// the run seed, and every user shares its cursor.
 var Globalrand = &analysis.Analyzer{
 	Name: "globalrand",
-	Doc: "forbid package-level math/rand functions and rand constructors outside engine.New/NewStream; " +
-		"model randomness must come from engine.Sim.Rand(), Sim.NewStream() or an injected *rand.Rand",
+	Doc: "forbid package-level math/rand functions, package-level *rand.Rand streams and rand constructors " +
+		"outside engine.New/NewStream; model randomness must come from engine.Sim.Rand(), Sim.NewStream() " +
+		"or an injected *rand.Rand",
 	Run: runGlobalrand,
 }
 
@@ -37,6 +46,7 @@ func runGlobalrand(pass *analysis.Pass) error {
 	graph := graphFor(pass)
 	for _, f := range pass.Files {
 		file := f
+		checkAmbientStreams(pass, file)
 		for _, decl := range f.Decls {
 			fn, _ := decl.(*ast.FuncDecl)
 			inEngineNew := fn != nil && randConstructorHosts[fn.Name.Name] &&
@@ -47,6 +57,8 @@ func runGlobalrand(pass *analysis.Pass) error {
 					// drawing from the global source on model code's behalf.
 					checkLaunderedEffect(pass, graph, file, call, callgraph.ReadsGlobalRand,
 						"model randomness must come from engine.Sim.Rand() or an injected *rand.Rand")
+					checkLaunderedEffect(pass, graph, file, call, callgraph.ConstructsRand,
+						"derive streams with engine.Sim.NewStream instead")
 				}
 				sel, ok := n.(*ast.SelectorExpr)
 				if !ok {
@@ -83,4 +95,44 @@ func runGlobalrand(pass *analysis.Pass) error {
 		}
 	}
 	return nil
+}
+
+// checkAmbientStreams flags package-level *rand.Rand variables.
+func checkAmbientStreams(pass *analysis.Pass, file *ast.File) {
+	for _, decl := range file.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs, ok := spec.(*ast.ValueSpec)
+			if !ok {
+				continue
+			}
+			for _, name := range vs.Names {
+				v, ok := pass.TypesInfo.Defs[name].(*types.Var)
+				if !ok || !isRandStream(v.Type()) {
+					continue
+				}
+				cgReport(pass, file, name,
+					"package-level rand stream %s: model streams must be engine.Sim.NewStream derivations threaded per object, not ambient package state",
+					name.Name)
+			}
+		}
+	}
+}
+
+// isRandStream reports whether t is *rand.Rand (math/rand or
+// math/rand/v2).
+func isRandStream(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Rand" && obj.Pkg() != nil && obj.Pkg().Name() == "rand"
 }

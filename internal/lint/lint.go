@@ -32,19 +32,19 @@ import (
 	"dcqcn/internal/lint/analysis"
 )
 
-// All returns every contract analyzer, in stable order: the
+// All returns the 13 contract analyzers in stable order: the
 // determinism family (walltime, globalrand, maporder, floateq,
 // simtime), the physics/concurrency family (noconc, eventpast,
 // acctfield — see DESIGN.md §9), the hot-path allocation family
 // (hotalloc, hotdefer, hotchain — see DESIGN.md §12), and the
-// interprocedural contract family (ccability, hookpassive,
-// streamshard — see DESIGN.md §14).
+// interprocedural contract family (ccability, hookpassive — see
+// DESIGN.md §14).
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Walltime, Globalrand, Maporder, Floateq, Simtime,
 		Noconc, Eventpast, Acctfield,
 		Hotalloc, Hotdefer, Hotchain,
-		Ccability, Hookpassive, Streamshard,
+		Ccability, Hookpassive,
 	}
 }
 

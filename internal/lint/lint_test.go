@@ -17,7 +17,7 @@ func TestAllStableOrder(t *testing.T) {
 		"walltime", "globalrand", "maporder", "floateq", "simtime",
 		"noconc", "eventpast", "acctfield",
 		"hotalloc", "hotdefer", "hotchain",
-		"ccability", "hookpassive", "streamshard",
+		"ccability", "hookpassive",
 	}
 	all := lint.All()
 	if len(all) != len(want) {

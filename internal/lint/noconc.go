@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"dcqcn/internal/lint/analysis"
 )
@@ -15,13 +14,7 @@ import (
 // goroutine, channel or sync primitive inside a model package would
 // introduce scheduler-dependent interleaving that no digest can pin
 // down. Concurrency belongs to the harness (worker pools over whole
-// runs) and to command mains — both exempt via ExemptFromModelRules —
-// and to the sharded runtime (path element "parallel"), which owns the
-// cross-core synchronization protocol: its goroutines and channel
-// barriers are exactly the mechanism that keeps each shard's event loop
-// single-threaded. The parallel exemption is noconc-only; the package
-// still answers to the determinism analyzers (walltime, globalrand,
-// maporder, ...) like any other model package.
+// runs) and to command mains, both exempt via ExemptFromModelRules.
 var Noconc = &analysis.Analyzer{
 	Name: "noconc",
 	Doc: "forbid go statements, channel operations and sync primitives in model packages; " +
@@ -29,23 +22,8 @@ var Noconc = &analysis.Analyzer{
 	Run: runNoconc,
 }
 
-// noconcExempt extends the model-rule exemption with the sharded
-// runtime: internal/parallel (fixture packages included, by the same
-// path-element rule as "cmd" and "harness").
-func noconcExempt(pkgPath string) bool {
-	if ExemptFromModelRules(pkgPath) {
-		return true
-	}
-	for _, el := range strings.Split(pkgPath, "/") {
-		if el == "parallel" {
-			return true
-		}
-	}
-	return false
-}
-
 func runNoconc(pass *analysis.Pass) error {
-	if noconcExempt(pass.Pkg.Path()) {
+	if ExemptFromModelRules(pass.Pkg.Path()) {
 		return nil
 	}
 	report := func(pos token.Pos, what string) {

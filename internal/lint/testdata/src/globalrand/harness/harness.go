@@ -7,3 +7,9 @@ import "math/rand"
 
 // Jitter spreads worker start times; not model randomness.
 func Jitter() float64 { return rand.Float64() }
+
+// Fresh builds a throwaway source for worker jitter. Legal here; model
+// code must not launder sources out of it.
+func Fresh(seed int64) *rand.Rand {
+	return rand.New(rand.NewSource(seed))
+}

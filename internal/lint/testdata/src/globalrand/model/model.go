@@ -32,3 +32,15 @@ func construct() *rand.Rand {
 func laundered() float64 {
 	return harness.Jitter() // want `call into exempt package harness transitively draws from the process-global rand source`
 }
+
+// launder pulls a constructed source out of the exempt harness, where
+// the per-package constructor scan never looks.
+func launder() *rand.Rand {
+	return harness.Fresh(7) // want `call into exempt package harness transitively constructs a rand source`
+}
+
+// ambient is package-level: shared by construction, unseedable per run.
+var ambient *rand.Rand // want `package-level rand stream ambient`
+
+//cg:allow scratch source for the doc example below; never reaches a simulation
+var blessed *rand.Rand

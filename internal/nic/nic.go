@@ -233,17 +233,6 @@ func New(sim *engine.Sim, id packet.NodeID, name string, cfg Config) *NIC {
 	return n
 }
 
-// Rebind moves the NIC — clock, port and all future flows — onto
-// another simulator core. The parallel runtime calls it while assigning
-// a freshly built topology to shards, before any flows are opened or
-// events scheduled; flows and receivers created afterwards pick up the
-// new clock automatically.
-func (n *NIC) Rebind(sim *engine.Sim) {
-	n.sim = sim
-	n.clock = Clock{Sim: sim}
-	n.port.Rebind(sim)
-}
-
 // Port returns the NIC's fabric port for wiring.
 func (n *NIC) Port() *link.Port { return n.port }
 

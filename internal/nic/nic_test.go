@@ -391,8 +391,8 @@ func (r *rttStub) OnRTT(d simtime.Duration) { r.samples = append(r.samples, d) }
 // under go-back-N: after a retransmission the receiver keeps re-ACKing
 // duplicate PSNs, echoing a stale (or never-set, zero) SentAt stamp.
 // Only a strictly newer echo may produce a sample, and a non-positive
-// difference (clock skew across shard boundaries, a zero stamp) must be
-// clamped rather than delivered as a negative RTT.
+// difference (a zero stamp) must be clamped rather than delivered as a
+// negative RTT.
 func TestRTTSamplingFiltersGoBackN(t *testing.T) {
 	stub := &rttStub{RateController: rocev2.FixedRate(40 * simtime.Gbps)}
 	cfg := DefaultConfig()

@@ -37,21 +37,14 @@ type Options struct {
 	ECMPSeedBase uint64
 	// HostsPerToR is used by NewTestbed (the paper's benchmark uses 5).
 	HostsPerToR int
-	// Shards requests sharded parallel execution: the finished topology is
-	// partitioned into up to Shards shards, each driven by its own core,
-	// synchronized conservatively on cross-shard link delay (see
-	// internal/parallel, which registers the Sharder hook). 0 or 1 means
-	// sequential. Sharded and sequential runs of the same model and seed
-	// produce bit-identical digests.
-	Shards int
 	// CC, if set, is the selected congestion-control algorithm. The NIC
 	// side is configured through NIC.Controller (see ApplyCC); this field
 	// additionally attaches the algorithm's fabric-side sampler — the
 	// congestion point of QCN or switch-assist — to every switch at build
 	// time.
 	CC *cc.Selection
-	// Background, if set, runs at the end of every builder, after routes,
-	// sharding and CC samplers but before the OnBuild observer hook. It is
+	// Background, if set, runs at the end of every builder, after routes
+	// and CC samplers but before the OnBuild observer hook. It is
 	// the attachment point for the hybrid co-simulation's fluid
 	// background-traffic substrate (internal/hybrid): unlike OnBuild
 	// observers it is allowed to schedule events and couple into switch
@@ -106,13 +99,6 @@ func ApplyCC(opts *Options, sel cc.Selection, adjustMarking bool) {
 // single-threaded setup phase: it is read by parallel sweep workers.
 var OnBuild func(*Network)
 
-// Sharder, if set, partitions a finished topology across cores when
-// Options.Shards > 1. It is registered (once, from an init function) by
-// internal/parallel; the indirection keeps this package — and every model
-// package below it — free of any dependency on the parallel runtime.
-// Builders call it from built(), before OnBuild observers attach.
-var Sharder func(*Network, int)
-
 // Network is a wired, routed collection of switches and host NICs.
 type Network struct {
 	// Sim is the control handle: scenario, harness and fault-injection
@@ -140,7 +126,6 @@ type Network struct {
 
 	hostLinks   map[string]*link.Link
 	fabricLinks []*link.Link
-	fabricEnds  [][2]*fabric.Switch // endpoints of fabricLinks, same order
 
 	// adjacency for route computation
 	swIndex   map[*fabric.Switch]int
@@ -212,7 +197,6 @@ func (n *Network) AddHost(name string, tor *fabric.Switch) *nic.NIC {
 func (n *Network) ConnectSwitches(a, b *fabric.Switch) {
 	pa, pb := n.takePort(a), n.takePort(b)
 	n.fabricLinks = append(n.fabricLinks, link.Connect(n.msim, a.Port(pa), b.Port(pb), n.opts.FabricLinkDelay))
-	n.fabricEnds = append(n.fabricEnds, [2]*fabric.Switch{a, b})
 	n.neighbors[a] = append(n.neighbors[a], edge{peer: b, port: pa})
 	n.neighbors[b] = append(n.neighbors[b], edge{peer: a, port: pb})
 }
@@ -433,15 +417,10 @@ func NewTestbed(seed int64, opts Options) *Network {
 	return n
 }
 
-// built finishes construction: it shards the network if requested, then
-// fires the OnBuild observer hook. Every builder calls it last.
+// built finishes construction: it attaches the CC samplers and the
+// background substrate, then fires the OnBuild observer hook. Every
+// builder calls it last.
 func (n *Network) built() {
-	if n.opts.Shards > 1 {
-		if Sharder == nil {
-			panic("topology: Options.Shards > 1 but no sharder registered — import dcqcn/internal/parallel")
-		}
-		Sharder(n, n.opts.Shards)
-	}
 	n.attachCCSamplers()
 	if n.opts.Background != nil {
 		n.opts.Background(n)
@@ -453,9 +432,8 @@ func (n *Network) built() {
 
 // attachCCSamplers installs the selected algorithm's fabric-side
 // congestion point on every switch. Each sampler gets its own random
-// stream derived from the run seed and the switch index — NewStream is
-// pure, so the stream is identical whether or not the topology was
-// sharded, keeping sharded and sequential digests aligned.
+// stream derived from the run seed and the switch index, so a switch's
+// draws depend only on the traffic it samples.
 func (n *Network) attachCCSamplers() {
 	sel := n.opts.CC
 	if sel == nil || sel.Algorithm.Sampler == nil {

@@ -9,10 +9,6 @@ import (
 	"dcqcn/internal/hybrid"
 	"dcqcn/internal/nic"
 	"dcqcn/internal/packet"
-
-	// Register the sharded runtime so WithShards takes effect on
-	// topologies that can split.
-	_ "dcqcn/internal/parallel"
 	"dcqcn/internal/rocev2"
 	"dcqcn/internal/simtime"
 	"dcqcn/internal/topology"
@@ -74,15 +70,6 @@ func (o Options) WithLinkDelay(d Duration) Options {
 // WithHostsPerToR sets testbed host fan-out (default 5, as in §6.2).
 func (o Options) WithHostsPerToR(n int) Options {
 	o.inner.HostsPerToR = n
-	return o
-}
-
-// WithShards runs the simulation sharded across up to n cores
-// (internal/parallel). Results and event digests are bit-identical to a
-// sequential run; topologies that cannot split — a star has a single
-// switch — quietly stay sequential.
-func (o Options) WithShards(n int) Options {
-	o.inner.Shards = n
 	return o
 }
 
@@ -157,8 +144,8 @@ func (n *Network) RunFor(d Duration) { n.net.Sim.Run(n.net.Sim.Now().Add(d)) }
 func (n *Network) RunUntil(t Time) { n.net.Sim.Run(t) }
 
 // Digest returns the engine's event digest as "events:hash". Equal
-// seeds and workloads produce equal digests — sequential or sharded —
-// which is how the tests pin determinism.
+// seeds and workloads produce equal digests, which is how the tests pin
+// determinism.
 func (n *Network) Digest() string { return n.net.Sim.Digest().String() }
 
 // At schedules fn at absolute simulated time t.
