@@ -1,11 +1,11 @@
 // Command dcqcn-lint is the determinism- and physics-contract
-// multichecker: it runs the internal/lint analyzers (walltime,
+// multichecker: it runs the 11 internal/lint analyzers (walltime,
 // globalrand, maporder, floateq, simtime, noconc, eventpast, acctfield,
-// hotalloc, hotdefer, hotchain, ccability, hookpassive)
-// over the requested packages and exits non-zero on findings. `make
-// lint` wires it into `make check`, so contract violations fail before
-// any simulation runs. The interprocedural analyzers share one
-// call-graph summary per invocation (internal/lint/callgraph).
+// hotchain, ccability, hookpassive) over the requested packages and
+// exits non-zero on findings. `make lint` wires it into `make check`,
+// so contract violations fail before any simulation runs. The
+// interprocedural analyzers share one call-graph summary per
+// invocation (internal/lint/callgraph).
 //
 // Usage:
 //
@@ -24,10 +24,11 @@
 // (exit 3): every entry in lint.json must keep paying its way.
 //
 // -escape switches to the escape-analysis audit: the compiler's heap
-// decisions inside //hot:path functions of the designated hot packages
-// (internal/escape) are diffed against the committed escape.golden; a
-// new escape in the event loop fails with a site-level diff. -update
-// rewrites the golden after an intentional change.
+// decisions inside every //hot:path function of the library packages
+// (internal/escape, escape.Scope) are diffed against the committed
+// escape.golden; a new escape in the event loop fails with a
+// site-level diff. -update rewrites the golden after an intentional
+// change.
 //
 // Exit status: 0 clean, 1 findings or escape diff, 2 usage or analysis
 // failure, 3 stale suppressions (and no findings).
@@ -153,10 +154,11 @@ func run(args []string) int {
 	return 0
 }
 
-// runEscape audits the compiler's escape decisions over the designated
-// hot packages against the committed golden (or rewrites it).
+// runEscape audits the compiler's escape decisions in the //hot:path
+// functions of escape.Scope against the committed golden (or rewrites
+// it).
 func runEscape(goldenPath string, update bool) int {
-	got, err := escape.Analyze(".", lint.HotPackages)
+	got, err := escape.Analyze(".", escape.Scope)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dcqcn-lint:", err)
 		return 2

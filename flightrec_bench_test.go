@@ -2,14 +2,9 @@ package dcqcn
 
 // Flight-recorder overhead benchmarks: the same 2:1 incast run bare and
 // with the recorder attached. The armed/disarmed ns/op ratio is the
-// recording tax; `make bench-json` runs both via TestBenchArtifact and
-// writes the comparison to BENCH_5.json.
+// recording tax (go test -run NONE -bench FlightRecorder .).
 
-import (
-	"encoding/json"
-	"os"
-	"testing"
-)
+import "testing"
 
 // incastRun drives the benchmark workload: a 2:1 incast for 10 ms of
 // simulated time, optionally recorded. Returns the recorder (nil when
@@ -45,57 +40,4 @@ func BenchmarkFlightRecorderArmed(b *testing.B) {
 		events = incastRun(true).EventsRecorded()
 	}
 	b.ReportMetric(float64(events), "events/run")
-}
-
-// TestBenchArtifact runs the armed/disarmed pair under
-// testing.Benchmark and writes the comparison as JSON to the path in
-// $BENCH_JSON (skipped when unset — this is the `make bench-json`
-// entry point, not part of the normal suite).
-func TestBenchArtifact(t *testing.T) {
-	path := os.Getenv("BENCH_JSON")
-	if path == "" {
-		t.Skip("set BENCH_JSON=<path> to write the benchmark artifact")
-	}
-	disarmed := testing.Benchmark(BenchmarkFlightRecorderDisarmed)
-	armed := testing.Benchmark(BenchmarkFlightRecorderArmed)
-	events := incastRun(true)
-
-	art := struct {
-		Benchmark      string  `json:"benchmark"`
-		DisarmedNsOp   int64   `json:"disarmed_ns_per_op"`
-		ArmedNsOp      int64   `json:"armed_ns_per_op"`
-		OverheadFrac   float64 `json:"overhead_frac"`
-		EventsPerRun   int     `json:"events_per_run"`
-		NsPerEvent     float64 `json:"armed_extra_ns_per_event"`
-		DisarmedAllocs int64   `json:"disarmed_allocs_per_op"`
-		ArmedAllocs    int64   `json:"armed_allocs_per_op"`
-	}{
-		Benchmark:      "flightrec-incast-2to1-10ms",
-		DisarmedNsOp:   disarmed.NsPerOp(),
-		ArmedNsOp:      armed.NsPerOp(),
-		EventsPerRun:   events.EventsRecorded(),
-		DisarmedAllocs: disarmed.AllocsPerOp(),
-		ArmedAllocs:    armed.AllocsPerOp(),
-	}
-	if art.DisarmedNsOp > 0 {
-		art.OverheadFrac = float64(art.ArmedNsOp-art.DisarmedNsOp) / float64(art.DisarmedNsOp)
-	}
-	if art.EventsPerRun > 0 {
-		art.NsPerEvent = float64(art.ArmedNsOp-art.DisarmedNsOp) / float64(art.EventsPerRun)
-	}
-
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(art); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: disarmed %d ns/op, armed %d ns/op (%.1f%% overhead, %d events/run)",
-		path, art.DisarmedNsOp, art.ArmedNsOp, art.OverheadFrac*100, art.EventsPerRun)
 }

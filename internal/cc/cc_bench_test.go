@@ -2,13 +2,10 @@ package cc
 
 // Signal-delivery benchmarks for the cc subsystem: ns/op and allocs/op
 // for the per-ACK and per-hint controller paths plus the fabric-side
-// sampler. `make bench-json` runs them via TestCCBenchArtifact and
-// writes BENCH_8.json; the hard budgets are enforced by the
-// TestAllocBudget* tests in alloc_test.go (non-race builds).
+// sampler. The hard budgets are enforced by the TestAllocBudget* tests
+// in alloc_test.go (non-race builds).
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
 	"dcqcn/internal/packet"
@@ -65,66 +62,4 @@ func BenchmarkSwitchAssistSampler(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sample(pkt, p.QMax)
 	}
-}
-
-// TestCCBenchArtifact runs the budgeted signal paths under
-// testing.Benchmark and writes ns/op + allocs/op next to each path's
-// pinned budget as JSON to the path in $BENCH_JSON (skipped when unset
-// — this is the `make bench-json` entry point, not part of the normal
-// suite).
-func TestCCBenchArtifact(t *testing.T) {
-	path := os.Getenv("BENCH_JSON")
-	if path == "" {
-		t.Skip("set BENCH_JSON=<path> to write the benchmark artifact")
-	}
-	type entry struct {
-		Path        string  `json:"path"`
-		NsPerOp     int64   `json:"ns_per_op"`
-		AllocsPerOp int64   `json:"allocs_per_op"`
-		BytesPerOp  int64   `json:"bytes_per_op"`
-		BudgetNote  string  `json:"budget"`
-		BudgetMax   float64 `json:"budget_allocs_per_op"`
-	}
-	cases := []struct {
-		path   string
-		bench  func(*testing.B)
-		note   string
-		budget float64
-	}{
-		{"cc-dctcp-onack", BenchmarkDCTCPOnAck, "zero per ACK", 0},
-		{"cc-policy-onack", BenchmarkPolicyOnAck, "zero per ACK", 0},
-		{"cc-switch-assist-onhint", BenchmarkSwitchAssistOnHint, "RP rate-timer re-arm closure + cancel", 2},
-		{"cc-switch-assist-sampler", BenchmarkSwitchAssistSampler, "one Hint frame per HintBytes, amortized", 0.05},
-	}
-	var entries []entry
-	for _, c := range cases {
-		res := testing.Benchmark(c.bench)
-		entries = append(entries, entry{
-			Path:        c.path,
-			NsPerOp:     res.NsPerOp(),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-			BudgetNote:  c.note,
-			BudgetMax:   c.budget,
-		})
-		t.Logf("%s: %d ns/op, %d allocs/op (budget %.2f)", c.path, res.NsPerOp(), res.AllocsPerOp(), c.budget)
-	}
-	art := struct {
-		Benchmark string  `json:"benchmark"`
-		Entries   []entry `json:"entries"`
-	}{Benchmark: "cc-signal-delivery", Entries: entries}
-
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(art); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }

@@ -176,7 +176,8 @@ func (q *Queue) alloc() *Event {
 //go:noinline
 //hot:path
 func newEvent() *Event {
-	//hot:allow amortized pool growth: one header per peak-pending event, recycled for the rest of the run
+	// Amortized pool growth: one header per peak-pending event, recycled
+	// for the rest of the run. Accepted in escape.golden.
 	return &Event{}
 }
 

@@ -2,14 +2,11 @@ package flightrec
 
 // Allocation-budget benchmarks for the hot-path contract (DESIGN §12):
 // ns/op and allocs/op for the four budgeted event-loop paths — event
-// queue push/pop, link transmit, switch forward, recorder append.
-// `make bench-json` runs them via TestAllocBudgetArtifact and writes
-// BENCH_7.json; the hard budgets themselves are enforced by the
-// per-package TestAllocBudget* tests (non-race builds).
+// queue push/pop, link transmit, switch forward, recorder append. The
+// hard budgets themselves are enforced by the per-package
+// TestAllocBudget* tests (non-race builds).
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
 	"dcqcn/internal/engine"
@@ -100,66 +97,4 @@ func BenchmarkRecorderAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.record(KindEnqueue, id, packet.Data, 7, int64(i), 1000, 3, 0, 0)
 	}
-}
-
-// TestAllocBudgetArtifact runs the four budgeted paths under
-// testing.Benchmark and writes ns/op + allocs/op next to each path's
-// pinned budget as JSON to the path in $BENCH_JSON (skipped when unset
-// — this is the `make bench-json` entry point, not part of the normal
-// suite).
-func TestAllocBudgetArtifact(t *testing.T) {
-	path := os.Getenv("BENCH_JSON")
-	if path == "" {
-		t.Skip("set BENCH_JSON=<path> to write the benchmark artifact")
-	}
-	type entry struct {
-		Path        string  `json:"path"`
-		NsPerOp     int64   `json:"ns_per_op"`
-		AllocsPerOp int64   `json:"allocs_per_op"`
-		BytesPerOp  int64   `json:"bytes_per_op"`
-		BudgetNote  string  `json:"budget"`
-		BudgetMax   float64 `json:"budget_allocs_per_op"`
-	}
-	cases := []struct {
-		path   string
-		bench  func(*testing.B)
-		note   string
-		budget float64
-	}{
-		{"eventq-push-pop", BenchmarkEventqPushPop, "none: Event headers are pooled", 0},
-		{"link-transmit", BenchmarkLinkTransmit, "none: pooled events, pre-bound arrival continuation", 0},
-		{"switch-forward", BenchmarkSwitchForward, "none: forwarding adds nothing to the link path", 0},
-		{"flightrec-append", BenchmarkRecorderAppend, "amortized chunk seal only", 0.01},
-	}
-	var entries []entry
-	for _, c := range cases {
-		res := testing.Benchmark(c.bench)
-		entries = append(entries, entry{
-			Path:        c.path,
-			NsPerOp:     res.NsPerOp(),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-			BudgetNote:  c.note,
-			BudgetMax:   c.budget,
-		})
-		t.Logf("%s: %d ns/op, %d allocs/op (budget %.2f)", c.path, res.NsPerOp(), res.AllocsPerOp(), c.budget)
-	}
-	art := struct {
-		Benchmark string  `json:"benchmark"`
-		Entries   []entry `json:"entries"`
-	}{Benchmark: "hot-path-alloc-budgets", Entries: entries}
-
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(art); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }

@@ -290,7 +290,8 @@ func (r *Recorder) seal(now simtime.Time) {
 		*c = chunk{base: now, firstSeq: r.seq, buf: c.buf[:0]}
 		r.active = c
 	} else {
-		//hot:allow one chunk header per 64KiB of encoded events, amortized over ~10k records, until the ring wraps
+		// One chunk header per 64 KiB of encoded events, amortized over
+		// ~10k records, until the ring wraps. Accepted in escape.golden.
 		r.active = &chunk{base: now, firstSeq: r.seq, buf: make([]byte, 0, chunkTarget+64)}
 	}
 	r.lastAt = now

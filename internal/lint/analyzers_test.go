@@ -46,14 +46,6 @@ func TestAcctfield(t *testing.T) {
 	analysistest.Run(t, lint.Acctfield, "acctfield/a")
 }
 
-func TestHotalloc(t *testing.T) {
-	analysistest.Run(t, lint.Hotalloc, "hotalloc/a")
-}
-
-func TestHotdefer(t *testing.T) {
-	analysistest.Run(t, lint.Hotdefer, "hotdefer/a")
-}
-
 func TestHotchain(t *testing.T) {
 	analysistest.Run(t, lint.Hotchain, "hotchain/a")
 }

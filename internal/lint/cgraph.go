@@ -24,7 +24,7 @@ import (
 //
 //	//cg:allow capability set derived from the rule table; Validate pins the signals
 //
-// placed on the flagged line or the line above it — the //hot:allow
+// placed on the flagged line or the line above it — the //lint:ordered
 // grammar. A reasonless directive is itself reported as malformed.
 const cgAllowDirective = "//cg:allow"
 

@@ -5,17 +5,20 @@ import (
 	"go/types"
 	"strings"
 
+	"dcqcn/internal/escape"
 	"dcqcn/internal/lint/analysis"
 )
 
-// Hotchain keeps hook-chain construction out of //hot:path functions.
-// The chaining helpers (internal/hooks.Chain*) and the ChainOn*
-// convenience methods exist for attach time: each call wraps the
-// previous subscriber in a fresh closure, so chaining from a per-event
-// function would allocate a new closure per event and grow the chain
-// without bound — every future event then walks an ever-longer call
-// chain. The same applies to installing a hook field (On*) from hot
-// code: observers subscribe once at attach, never during dispatch.
+// Hotchain keeps hook-chain construction out of //hot:path functions
+// (DESIGN.md §12; escape.IsHot defines the grammar). The chaining
+// helpers (internal/hooks.Chain*) and the ChainOn* convenience methods
+// exist for attach time: each call wraps the previous subscriber in a
+// fresh closure, so chaining from a per-event function would allocate
+// a new closure per event and grow the chain without bound — every
+// future event then walks an ever-longer call chain. The same applies
+// to installing a hook field (On*) from hot code: observers subscribe
+// once at attach, never during dispatch. The escape audit sees at most
+// the chained closure, not that the chain grows.
 var Hotchain = &analysis.Analyzer{
 	Name: "hotchain",
 	Doc: "forbid hook chaining (hooks.Chain*, ChainOn*, On* field installs) in //hot:path functions; " +
@@ -25,12 +28,16 @@ var Hotchain = &analysis.Analyzer{
 
 func runHotchain(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		for _, fd := range hotFuncs(f) {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || !escape.IsHot(fd) {
+				continue
+			}
 			name := fd.Name.Name
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch x := n.(type) {
 				case *ast.CallExpr:
-					checkHotchainCall(pass, f, x, name)
+					checkHotchainCall(pass, x, name)
 				case *ast.AssignStmt:
 					for i, lhs := range x.Lhs {
 						// p.OnRx = hooks.Chain(p.OnRx, fn) is one operation;
@@ -38,7 +45,7 @@ func runHotchain(pass *analysis.Pass) error {
 						if i < len(x.Rhs) && isChainCall(x.Rhs[i]) {
 							continue
 						}
-						checkHookInstall(pass, f, x, lhs, name)
+						checkHookInstall(pass, x, lhs, name)
 					}
 				}
 				return true
@@ -51,7 +58,7 @@ func runHotchain(pass *analysis.Pass) error {
 // checkHotchainCall flags calls to the hooks package's Chain helpers
 // and to Chain*-named methods (the ChainOnRx-style wrappers components
 // expose over the same helpers).
-func checkHotchainCall(pass *analysis.Pass, file *ast.File, call *ast.CallExpr, name string) {
+func checkHotchainCall(pass *analysis.Pass, call *ast.CallExpr, name string) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -62,7 +69,7 @@ func checkHotchainCall(pass *analysis.Pass, file *ast.File, call *ast.CallExpr, 
 	if pn := pkgNameOf(pass.TypesInfo, sel.X); pn != nil {
 		// Package-qualified: only the hooks package's helpers count.
 		if lastPathElement(pn.Imported().Path()) == "hooks" {
-			hotReport(pass, file, call,
+			pass.Reportf(call.Pos(),
 				"hooks.%s called in hot function %s: chaining wraps a new closure per call and grows the hook chain per event; chain at attach time",
 				sel.Sel.Name, name)
 		}
@@ -70,7 +77,7 @@ func checkHotchainCall(pass *analysis.Pass, file *ast.File, call *ast.CallExpr, 
 	}
 	// Method call: ChainOnRx and friends on a component.
 	if strings.HasPrefix(sel.Sel.Name, "ChainOn") {
-		hotReport(pass, file, call,
+		pass.Reportf(call.Pos(),
 			"%s called in hot function %s: hook subscription per event grows the chain without bound; subscribe at attach time",
 			sel.Sel.Name, name)
 	}
@@ -79,7 +86,7 @@ func checkHotchainCall(pass *analysis.Pass, file *ast.File, call *ast.CallExpr, 
 // checkHookInstall flags assignments to On*-named func-typed fields —
 // installing or replacing a hook from event-path code races with the
 // chained observers wired at attach time.
-func checkHookInstall(pass *analysis.Pass, file *ast.File, at ast.Node, lhs ast.Expr, name string) {
+func checkHookInstall(pass *analysis.Pass, at ast.Node, lhs ast.Expr, name string) {
 	sel, ok := lhs.(*ast.SelectorExpr)
 	if !ok || !strings.HasPrefix(sel.Sel.Name, "On") {
 		return
@@ -91,7 +98,7 @@ func checkHookInstall(pass *analysis.Pass, file *ast.File, at ast.Node, lhs ast.
 	if _, isFunc := v.Type().Underlying().(*types.Signature); !isFunc {
 		return
 	}
-	hotReport(pass, file, at,
+	pass.Reportf(at.Pos(),
 		"hook field %s installed in hot function %s: hooks are wired once at attach time, not per event",
 		sel.Sel.Name, name)
 }

@@ -15,12 +15,12 @@
 // their owning types. The runtime half of that contract lives in
 // internal/invariant, behind the `invariants` build tag.
 //
-// A third family (DESIGN.md, "Hot-path allocation contract") bounds
-// per-event cost: hotalloc forbids heap-allocating constructs inside
-// //hot:path-annotated functions, hotdefer forbids defer there, and
-// hotchain forbids per-event hook chaining. Its runtime half is the
-// AllocsPerRun budget tests in the hot packages and the compiler-backed
-// escape auditor in internal/escape (`dcqcn-lint -escape`).
+// A third family (DESIGN.md, "Hot-path allocation contract") is one
+// analyzer: hotchain forbids per-event hook chaining inside
+// //hot:path-annotated functions. Allocation itself is judged by its
+// two ground truths, the compiler-backed escape audit in
+// internal/escape (`dcqcn-lint -escape`) and the AllocsPerRun budget
+// tests in the hot packages.
 package lint
 
 import (
@@ -32,18 +32,17 @@ import (
 	"dcqcn/internal/lint/analysis"
 )
 
-// All returns the 13 contract analyzers in stable order: the
+// All returns the 11 contract analyzers in stable order: the
 // determinism family (walltime, globalrand, maporder, floateq,
 // simtime), the physics/concurrency family (noconc, eventpast,
-// acctfield — see DESIGN.md §9), the hot-path allocation family
-// (hotalloc, hotdefer, hotchain — see DESIGN.md §12), and the
-// interprocedural contract family (ccability, hookpassive — see
-// DESIGN.md §14).
+// acctfield — see DESIGN.md §9), the hot-path family (hotchain — see
+// DESIGN.md §12), and the interprocedural contract family (ccability,
+// hookpassive — see DESIGN.md §14).
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Walltime, Globalrand, Maporder, Floateq, Simtime,
 		Noconc, Eventpast, Acctfield,
-		Hotalloc, Hotdefer, Hotchain,
+		Hotchain,
 		Ccability, Hookpassive,
 	}
 }

@@ -16,7 +16,7 @@ func TestAllStableOrder(t *testing.T) {
 	want := []string{
 		"walltime", "globalrand", "maporder", "floateq", "simtime",
 		"noconc", "eventpast", "acctfield",
-		"hotalloc", "hotdefer", "hotchain",
+		"hotchain",
 		"ccability", "hookpassive",
 	}
 	all := lint.All()
@@ -218,17 +218,14 @@ func TestRunWithStale(t *testing.T) {
 }
 
 // TestHotFamilySuppression checks suppression matching for the
-// hot-path analyzer family end to end over their own fixtures: each
-// fixture only yields findings from its analyzer, a matching
-// suppression silences all of them (and is therefore not stale), and
-// the JSON wire shape of a hot finding carries the analyzer name.
+// hot-path analyzer family end to end over its own fixture: the
+// fixture only yields findings from its analyzer, and a matching
+// suppression silences all of them (and is therefore not stale).
 func TestHotFamilySuppression(t *testing.T) {
 	cases := []struct {
 		analyzer string
 		fixture  string
 	}{
-		{"hotalloc", "hotalloc/a"},
-		{"hotdefer", "hotdefer/a"},
 		{"hotchain", "hotchain/a"},
 	}
 	for _, c := range cases {
@@ -272,9 +269,9 @@ func TestHotFamilySuppression(t *testing.T) {
 // consumes: analyzer, package, pos, message — nothing else, nothing
 // renamed.
 func TestFindingJSONShape(t *testing.T) {
-	findings := runOn(t, nil, []*analysis.Analyzer{lint.Hotalloc}, "./testdata/src/hotalloc/a")
+	findings := runOn(t, nil, []*analysis.Analyzer{lint.Walltime}, "./testdata/src/walltime/model")
 	if len(findings) == 0 {
-		t.Fatal("no hotalloc findings to marshal")
+		t.Fatal("no walltime findings to marshal")
 	}
 	data, err := json.Marshal(findings[0])
 	if err != nil {
@@ -293,8 +290,8 @@ func TestFindingJSONShape(t *testing.T) {
 			t.Errorf("finding JSON missing key %q: %s", k, data)
 		}
 	}
-	if m["analyzer"] != "hotalloc" {
-		t.Errorf("analyzer = %v, want hotalloc", m["analyzer"])
+	if m["analyzer"] != "walltime" {
+		t.Errorf("analyzer = %v, want walltime", m["analyzer"])
 	}
 }
 
@@ -302,9 +299,9 @@ func TestFindingJSONShape(t *testing.T) {
 // consumes: version, tool name, one rule per analyzer, and per-result
 // ruleId, level, message and repository-relative location.
 func TestWriteSARIF(t *testing.T) {
-	findings := runOn(t, nil, []*analysis.Analyzer{lint.Hotalloc}, "./testdata/src/hotalloc/a")
+	findings := runOn(t, nil, []*analysis.Analyzer{lint.Walltime}, "./testdata/src/walltime/model")
 	if len(findings) == 0 {
-		t.Fatal("no hotalloc findings to render")
+		t.Fatal("no walltime findings to render")
 	}
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -359,7 +356,7 @@ func TestWriteSARIF(t *testing.T) {
 		t.Fatalf("%d results, want %d", len(run.Results), len(findings))
 	}
 	r := run.Results[0]
-	if r.RuleID != "hotalloc" || r.Level != "error" || r.Message.Text == "" {
+	if r.RuleID != "walltime" || r.Level != "error" || r.Message.Text == "" {
 		t.Errorf("result shape wrong: %+v", r)
 	}
 	loc := r.Locations[0].PhysicalLocation
