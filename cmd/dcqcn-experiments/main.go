@@ -16,10 +16,11 @@
 // (minutes of CPU time); the default quick settings finish in well under
 // a minute and preserve every qualitative conclusion. -cc swaps the
 // congestion-control algorithm (internal/cc registry name) for the
-// DCQCN modes of every experiment. -hybrid -bg-flows=N runs every
-// packet-level experiment over N fluid background flows
-// (internal/hybrid); the hybrid experiment entry itself sweeps the
-// hybrid-* scenarios regardless.
+// DCQCN modes of every experiment, except those that vary DCQCN's own
+// parameters (fig13, fig20 and the ablations), which always run DCQCN.
+// -hybrid -bg-flows=N runs every packet-level experiment over N fluid
+// background flows (internal/hybrid); the hybrid experiment entry
+// itself sweeps the hybrid-* scenarios regardless.
 package main
 
 import (

@@ -26,7 +26,9 @@
 // registry. With several names the whole scenario matrix runs once per
 // algorithm: per-algorithm artifacts land in <out>/cc-<name>/ and a
 // head-to-head comparison (cc_compare.json plus a printed table) lands
-// in <out>/.
+// in <out>/. The scenarios that vary DCQCN's own parameters
+// (convergence-fig13, ablation-g, ablation-rai, ablation-timer,
+// ablation-cnp) always run DCQCN, whatever -cc names.
 //
 // -hybrid arms the fluid/packet co-simulation substrate
 // (internal/hybrid) on every run: -bg-flows long-lived background

@@ -143,15 +143,16 @@ type AckReactor interface {
 	OnAck(s AckSample)
 }
 
-// RTTReactor is implemented by delay-based controllers (CapRTT). It is
-// structurally identical to nic.RTTReactor — redeclared here so the
-// framework does not depend on the NIC package.
+// RTTReactor is implemented by delay-based controllers (CapRTT): they
+// receive an RTT sample per acknowledgement. The NIC probes legacy
+// controllers built outside the registry (timely.Factory) for it too.
 type RTTReactor interface {
 	OnRTT(rtt simtime.Duration)
 }
 
 // QCNReactor is implemented by controllers consuming quantized 802.1Qau
-// feedback (CapQCN); structurally identical to nic.QCNReactor.
+// feedback (CapQCN). The NIC probes legacy controllers built outside
+// the registry (qcn.Factory) for it too.
 type QCNReactor interface {
 	OnQCNFeedback(fb float64)
 }

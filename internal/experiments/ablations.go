@@ -7,8 +7,8 @@ import (
 	"dcqcn/internal/dctcp"
 	"dcqcn/internal/engine"
 	"dcqcn/internal/fabric"
+	"dcqcn/internal/harness"
 	"dcqcn/internal/link"
-	"dcqcn/internal/nic"
 	"dcqcn/internal/packet"
 	"dcqcn/internal/rocev2"
 	"dcqcn/internal/simtime"
@@ -22,34 +22,13 @@ type AblationResult struct {
 	Metrics map[string]float64
 }
 
-// AblationTable renders a list of ablation results with the given metric
-// columns.
-func AblationTable(results []AblationResult, metrics ...string) string {
-	t := stats.Table{Header: append([]string{"variant"}, metrics...)}
-	for _, r := range results {
-		row := []string{r.Label}
-		for _, m := range metrics {
-			row = append(row, fmt.Sprintf("%.3f", r.Metrics[m]))
-		}
-		t.AddRow(row...)
-	}
-	return t.String()
-}
-
-// twoFlowConvergence runs the two-sender star microbenchmark with the
-// given parameters and NIC tweaks, returning mean |r1−r2| (Gb/s) and the
-// aggregate goodput (Gb/s) over the measured window.
-func twoFlowConvergence(params core.Params, fid Fidelity, tweak func(*topology.Options)) (diff, total float64) {
-	diff, total, _ = twoFlowConvergenceRun(params, 0, fid, tweak)
-	return diff, total
-}
-
-// twoFlowConvergenceRun is the seeded variant of twoFlowConvergence; run
-// 0 reproduces the historical seeds.
+// twoFlowConvergenceRun runs the two-sender star microbenchmark of the
+// timer and CNP-priority ablations with the given DCQCN parameters and
+// NIC tweaks, returning mean |r1−r2| (Gb/s), the aggregate goodput
+// (Gb/s) over the measured window and the digest. Run 0 reproduces the
+// historical seeds.
 func twoFlowConvergenceRun(params core.Params, run uint64, fid Fidelity, tweak func(*topology.Options)) (diff, total float64, dig engine.Digest) {
-	opts := options(ModeDCQCN, 9+run*7919, fid)
-	opts.NIC.Controller = nic.DCQCNFactory(params)
-	opts.Switch.Marking = params
+	opts := dcqcnOptions(params, 9+run*7919, fid)
 	if tweak != nil {
 		tweak(&opts)
 	}
@@ -75,53 +54,41 @@ func twoFlowConvergenceRun(params core.Params, run uint64, fid Fidelity, tweak f
 	return gbps(stats.MeanAbsDiff(&r1, &r2)), gbps(float64(simtime.RateFromBytes(sent, fid.Duration))), net.Sim.Digest()
 }
 
-// AblationTimerVsByteCounter contrasts byte-counter-dominated recovery
-// (the QCN default that breaks convergence, §5.2) with timer-dominated
-// recovery (the paper's fix) in the packet simulator.
-func AblationTimerVsByteCounter(fid Fidelity) []AblationResult {
-	var out []AblationResult
-	cases := []struct {
-		label string
-		bc    int64
-		timer simtime.Duration
-	}{
-		{"byte-counter dominated (B=150KB, T=1.5ms)", 150e3, 1500 * simtime.Microsecond},
-		{"timer dominated (B=10MB, T=55us)", 10e6, 55 * simtime.Microsecond},
-	}
-	for _, c := range cases {
-		p := core.DefaultParams()
-		p.ByteCounter = c.bc
-		p.RateTimer = c.timer
-		diff, total := twoFlowConvergence(p, fid, nil)
-		out = append(out, AblationResult{Label: c.label, Metrics: map[string]float64{
-			"mean |r1-r2| (Gbps)": diff, "total (Gbps)": total,
-		}})
-	}
-	return out
-}
-
-// AblationG compares g = 1/16 vs 1/256 in the packet simulator (the
-// fluid-model counterpart is Fig12AlphaGain): queue length statistics
-// under 16:1 incast.
-func AblationG(fid Fidelity) []AblationResult {
-	var out []AblationResult
-	for _, g := range []float64{1.0 / 16, 1.0 / 256} {
-		r, _ := ablationGRun(g, 0, fid)
-		out = append(out, r)
-	}
-	return out
-}
-
-// ablationGRun executes one seeded 16:1 incast run with the given alpha
-// gain g; run 0 reproduces the historical seeds.
-func ablationGRun(g float64, run uint64, fid Fidelity) (AblationResult, engine.Digest) {
+// ablationGRun executes one seeded 16:1 incast run with alpha gain g —
+// the packet-level counterpart of Fig12AlphaGain. Run 0 reproduces the
+// historical seeds.
+func ablationGRun(g float64, run uint64, fid Fidelity) (harness.Metrics, engine.Digest) {
 	p := core.DefaultParams()
 	p.G = g
-	opts := options(ModeDCQCN, 4+run*7919, fid)
-	opts.NIC.Controller = nic.DCQCNFactory(p)
-	opts.Switch.Marking = p
-	const degree = 16
-	net := topology.NewStar(55+int64(run)*104729, degree+1, opts)
+	queue, _, dig := incastQueueRun(p, 16, 4+run*7919, 55+int64(run)*104729, fid)
+	return harness.Metrics{
+		"queue_p50_kb": queue.Median() / 1000,
+		"queue_p99_kb": queue.Percentile(99) / 1000,
+		"queue_sd_kb":  queue.Stddev() / 1000,
+	}, dig
+}
+
+// ablationRAIRun executes one seeded 32:1 incast run with the given R_AI
+// (§5.2: halving R_AI trades convergence speed for less aggressive
+// overshoot). Run 0 reproduces the historical seeds.
+func ablationRAIRun(rai simtime.Rate, run uint64, fid Fidelity) (harness.Metrics, engine.Digest) {
+	p := core.DefaultParams()
+	p.RAI = rai
+	queue, sw, dig := incastQueueRun(p, 32, 6+run*7919, 88+int64(run)*104729, fid)
+	return harness.Metrics{
+		"queue_p50_kb": queue.Median() / 1000,
+		"queue_p99_kb": queue.Percentile(99) / 1000,
+		"pauses":       float64(sw.PauseSentTotal()),
+	}, dig
+}
+
+// incastQueueRun runs a degree:1 incast of backlogged DCQCN senders with
+// the given parameters on one switch, sampling the bottleneck egress
+// queue (bytes) every 10 µs after the warmup. It returns the samples,
+// the switch and the digest.
+func incastQueueRun(params core.Params, degree int, seedBase uint64, seed int64, fid Fidelity) (*stats.Sample, *fabric.Switch, engine.Digest) {
+	opts := dcqcnOptions(params, seedBase, fid)
+	net := topology.NewStar(seed, degree+1, opts)
 	open := openFlow(net)
 	recv := fmt.Sprintf("H%d", degree+1)
 	for i := 1; i <= degree; i++ {
@@ -136,14 +103,7 @@ func ablationGRun(g float64, run uint64, fid Fidelity) (AblationResult, engine.D
 		}
 	})
 	net.Sim.Run(simtime.Time(fid.Warmup + fid.Duration))
-	return AblationResult{
-		Label: fmt.Sprintf("g=1/%d", int(1/g)),
-		Metrics: map[string]float64{
-			"queue p50 (KB)": queue.Median() / 1000,
-			"queue p99 (KB)": queue.Percentile(99) / 1000,
-			"queue sd (KB)":  queue.Stddev() / 1000,
-		},
-	}, net.Sim.Digest()
+	return &queue, sw, net.Sim.Digest()
 }
 
 // AblationFastStart compares the FCT of a bursty short transfer under
@@ -185,70 +145,4 @@ func AblationFastStart(fid Fidelity) []AblationResult {
 			Metrics: map[string]float64{"FCT (us)": fct.Microseconds()}})
 	}
 	return out
-}
-
-// AblationCNPPriority compares sending CNPs on the high-priority class
-// (the paper's choice, §3.3) against the data class, where congestion
-// delays the congestion feedback itself.
-func AblationCNPPriority(fid Fidelity) []AblationResult {
-	var out []AblationResult
-	for _, prio := range []uint8{packet.PrioControl, packet.PrioData} {
-		label := "CNP on high-priority class"
-		if prio == packet.PrioData {
-			label = "CNP on data class"
-		}
-		p := core.DefaultParams()
-		diff, total := twoFlowConvergence(p, fid, func(o *topology.Options) {
-			o.NIC.CNPPriority = prio
-		})
-		out = append(out, AblationResult{Label: label, Metrics: map[string]float64{
-			"mean |r1-r2| (Gbps)": diff, "total (Gbps)": total,
-		}})
-	}
-	return out
-}
-
-// AblationRAI examines R_AI and incast scale (§5.2): with 32:1 incast,
-// halving R_AI trades convergence speed for less aggressive overshoot.
-func AblationRAI(fid Fidelity) []AblationResult {
-	var out []AblationResult
-	for _, rai := range []simtime.Rate{40 * simtime.Mbps, 20 * simtime.Mbps} {
-		r, _ := ablationRAIRun(rai, 0, fid)
-		out = append(out, r)
-	}
-	return out
-}
-
-// ablationRAIRun executes one seeded 32:1 incast run with the given
-// R_AI; run 0 reproduces the historical seeds.
-func ablationRAIRun(rai simtime.Rate, run uint64, fid Fidelity) (AblationResult, engine.Digest) {
-	p := core.DefaultParams()
-	p.RAI = rai
-	opts := options(ModeDCQCN, 6+run*7919, fid)
-	opts.NIC.Controller = nic.DCQCNFactory(p)
-	opts.Switch.Marking = p
-	const degree = 32
-	net := topology.NewStar(88+int64(run)*104729, degree+1, opts)
-	open := openFlow(net)
-	recv := fmt.Sprintf("H%d", degree+1)
-	for i := 1; i <= degree; i++ {
-		repostLoop(open(fmt.Sprintf("H%d", i), recv), 8*1000*1000, func(rocev2.Completion) {})
-	}
-	sw := net.Switch("SW")
-	var queue stats.Sample
-	warmEnd := simtime.Time(fid.Warmup)
-	net.Sim.Ticker(10*simtime.Microsecond, func(now simtime.Time) {
-		if now >= warmEnd {
-			queue.Add(float64(sw.EgressQueue(degree, packet.PrioData)))
-		}
-	})
-	net.Sim.Run(simtime.Time(fid.Warmup + fid.Duration))
-	return AblationResult{
-		Label: fmt.Sprintf("R_AI=%v", rai),
-		Metrics: map[string]float64{
-			"queue p50 (KB)": queue.Median() / 1000,
-			"queue p99 (KB)": queue.Percentile(99) / 1000,
-			"pauses":         float64(sw.PauseSentTotal()),
-		},
-	}, net.Sim.Digest()
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"dcqcn/internal/engine"
 	"dcqcn/internal/rocev2"
 	"dcqcn/internal/simtime"
@@ -170,49 +168,6 @@ func BenchmarkRun(cfg BenchmarkConfig, run uint64, fid Fidelity) (BenchmarkResul
 	return res, net.Sim.Digest()
 }
 
-// Fig16Point is one x-position of Fig. 16: incast degree against user
-// and incast flow percentiles for one mode.
-type Fig16Point struct {
-	Degree       int
-	UserMedian   float64 // Gb/s
-	User10th     float64
-	IncastMedian float64
-	Incast10th   float64
-	SpinePauses  int64
-}
-
-// Fig16 sweeps the incast degree for one mode, producing the four panels
-// of Fig. 16 (and, at the highest degree, the Fig. 15 PAUSE counts).
-func Fig16(mode Mode, degrees []int, fid Fidelity) []Fig16Point {
-	var out []Fig16Point
-	for _, d := range degrees {
-		r := Benchmark(DefaultBenchmarkConfig(mode, d), fid)
-		out = append(out, Fig16Point{
-			Degree:       d,
-			UserMedian:   gbps(r.User.Median()),
-			User10th:     gbps(r.User.Percentile(10)),
-			IncastMedian: gbps(r.Incast.Median()),
-			Incast10th:   gbps(r.Incast.Percentile(10)),
-			SpinePauses:  r.SpinePauses,
-		})
-	}
-	return out
-}
-
-// Fig16Table renders a mode's sweep.
-func Fig16Table(mode Mode, points []Fig16Point) string {
-	t := stats.Table{Header: []string{"incast", "user p50", "user p10", "incast p50", "incast p10", "spine pauses"}}
-	for _, p := range points {
-		t.AddRow(fmt.Sprintf("%d:1", p.Degree),
-			fmt.Sprintf("%.2f", p.UserMedian),
-			fmt.Sprintf("%.2f", p.User10th),
-			fmt.Sprintf("%.2f", p.IncastMedian),
-			fmt.Sprintf("%.2f", p.Incast10th),
-			fmt.Sprintf("%d", p.SpinePauses))
-	}
-	return fmt.Sprintf("%v (throughputs in Gbps)\n%s", mode, t.String())
-}
-
 // Fig17Result compares user-traffic CDFs at different offered loads: the
 // paper's "16x more traffic" claim contrasts 5 pairs without DCQCN
 // against 80 pairs with it.
@@ -243,42 +198,4 @@ func Fig17(noDCQCNPairs, dcqcnPairs, incastDegree int, fid Fidelity) Fig17Result
 		NoDCQCNUserMedian: gbps(off.User.Median()),
 		DCQCNUserMedian:   gbps(on.User.Median()),
 	}
-}
-
-// Fig18Result holds the four-configuration comparison at one incast
-// degree: 10th-percentile throughput of user and incast flows.
-type Fig18Result struct {
-	Mode       Mode
-	User10th   float64
-	Incast10th float64
-	Drops      int64
-}
-
-// Fig18 reproduces the "need for PFC and correct thresholds" experiment:
-// the 8:1-incast benchmark under No DCQCN, DCQCN without PFC, DCQCN with
-// misconfigured thresholds, and proper DCQCN.
-func Fig18(incastDegree int, fid Fidelity) []Fig18Result {
-	var out []Fig18Result
-	for _, mode := range []Mode{ModePFCOnly, ModeDCQCNNoPFC, ModeDCQCNMisconfigured, ModeDCQCN} {
-		r := Benchmark(DefaultBenchmarkConfig(mode, incastDegree), fid)
-		out = append(out, Fig18Result{
-			Mode:       mode,
-			User10th:   gbps(r.User.Percentile(10)),
-			Incast10th: gbps(r.Incast.Percentile(10)),
-			Drops:      r.Drops,
-		})
-	}
-	return out
-}
-
-// Fig18Table renders the four bars.
-func Fig18Table(results []Fig18Result) string {
-	t := stats.Table{Header: []string{"configuration", "user p10 (Gbps)", "incast p10 (Gbps)", "drops"}}
-	for _, r := range results {
-		t.AddRow(r.Mode.String(),
-			fmt.Sprintf("%.3f", r.User10th),
-			fmt.Sprintf("%.3f", r.Incast10th),
-			fmt.Sprintf("%d", r.Drops))
-	}
-	return t.String()
 }

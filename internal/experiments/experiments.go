@@ -1,8 +1,10 @@
 // Package experiments reproduces every table and figure of the DCQCN
-// paper's evaluation on the simulated testbed. Each experiment is a
-// function returning a typed result with the numbers the paper plots,
-// plus a rendered table; cmd/dcqcn-experiments prints them and
-// bench_test.go regenerates them under `go test -bench`.
+// paper's evaluation on the simulated testbed. Every seeded
+// packet-level experiment is a registered harness scenario
+// (RegisterScenarios, RegisterChaosScenarios, RegisterHybridScenarios):
+// one per-run function, swept by cmd/dcqcn-sweep and printed by
+// cmd/dcqcn-experiments, which also calls the fluid-model, host-model
+// and extension experiments that have no scenario directly.
 //
 // The per-experiment index lives in DESIGN.md; paper-vs-measured values
 // are recorded in EXPERIMENTS.md.
@@ -68,8 +70,9 @@ type Fidelity struct {
 	Runs int
 	// CC selects the congestion-control algorithm by registry name for
 	// the DCQCN modes of every scenario (the PFC-only baseline keeps its
-	// fixed-rate sender). Empty means "dcqcn" — the deployed algorithm,
-	// routed through the internal/cc framework either way.
+	// fixed-rate sender, and the runs built by dcqcnOptions keep DCQCN).
+	// Empty means "dcqcn" — the deployed algorithm, routed through the
+	// internal/cc framework either way.
 	CC string
 	// CCParams, if non-nil, is a JSON object overlaid onto the selected
 	// algorithm's default parameters (the -cc-params flag; see
@@ -160,6 +163,20 @@ func options(mode Mode, seedBase uint64, fid Fidelity) topology.Options {
 	// take precedence over the per-mode marking defaults above.
 	topology.ApplyCC(&opts, sel, mode == ModeDCQCN)
 	armHybrid(&opts, fid)
+	return opts
+}
+
+// dcqcnOptions builds the DCQCN rig for the runs that pin the DCQCN
+// parameters under test (Fig. 13, Fig. 20 and the g, R_AI, timer and
+// CNP-priority ablations): DCQCN senders with params, switches marking
+// with params. These runs always use DCQCN, so fid.CC and fid.CCParams
+// are cleared first — another algorithm's capabilities would otherwise
+// switch off CNP generation under senders that need it.
+func dcqcnOptions(params core.Params, seedBase uint64, fid Fidelity) topology.Options {
+	fid.CC, fid.CCParams = "", nil
+	opts := options(ModeDCQCN, seedBase, fid)
+	opts.NIC.Controller = nic.DCQCNFactory(params)
+	opts.Switch.Marking = params
 	return opts
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dcqcn/internal/harness"
 	"dcqcn/internal/simtime"
 )
 
@@ -11,6 +12,25 @@ import (
 // test-friendly; the claims checked here are ordinal, not quantitative.
 func tiny() Fidelity {
 	return Fidelity{Duration: 15 * simtime.Millisecond, Warmup: 8 * simtime.Millisecond, Runs: 1}
+}
+
+// runPoint runs the grid point labelled point of the registered scenario
+// at seed 0 through Scenario.Run, as the golden matrix does, and returns
+// its metrics: the claim tests read the same numbers the sweep
+// artifacts carry.
+func runPoint(t *testing.T, fid Fidelity, scenario, point string) harness.Metrics {
+	t.Helper()
+	sc, ok := testRegistry(t, fid).Get(scenario)
+	if !ok {
+		t.Fatalf("no scenario %q", scenario)
+	}
+	for i, p := range sc.Points {
+		if p.Label == point {
+			return sc.Run(harness.RunContext{Scenario: sc.Name, Point: p, PointIdx: i, Seed: 0}).Metrics
+		}
+	}
+	t.Fatalf("scenario %q has no point %q", scenario, point)
+	return nil
 }
 
 func TestModeStrings(t *testing.T) {
@@ -27,42 +47,38 @@ func TestModeStrings(t *testing.T) {
 // TestFig3vs8 checks the headline of Figs. 3 and 8: with PFC alone H4
 // beats H1-H3 substantially; with DCQCN the advantage mostly disappears.
 func TestFig3vs8(t *testing.T) {
-	pfc := Unfairness(ModePFCOnly, tiny())
-	dcqcn := Unfairness(ModeDCQCN, tiny())
-	if adv := pfc.H4Advantage(); adv < 1.5 {
-		t.Errorf("PFC-only H4 advantage %.2f, want > 1.5 (parking lot)", adv)
+	pfc := runPoint(t, tiny(), "unfairness", "no-dcqcn")["h4_advantage"]
+	dcqcn := runPoint(t, tiny(), "unfairness", "dcqcn")["h4_advantage"]
+	if pfc < 1.5 {
+		t.Errorf("PFC-only H4 advantage %.2f, want > 1.5 (parking lot)", pfc)
 	}
-	if adv := dcqcn.H4Advantage(); adv > 1.4 {
-		t.Errorf("DCQCN H4 advantage %.2f, want ~1 (fair)", adv)
+	if dcqcn > 1.4 {
+		t.Errorf("DCQCN H4 advantage %.2f, want ~1 (fair)", dcqcn)
 	}
-	if pfc.H4Advantage() <= dcqcn.H4Advantage() {
+	if pfc <= dcqcn {
 		t.Error("DCQCN must reduce the unfairness")
-	}
-	if pfc.Table() == "" || dcqcn.Table() == "" {
-		t.Error("tables must render")
 	}
 }
 
 // TestFig4vs9 checks the victim-flow claims: with PFC alone, the victim
 // loses throughput as remote congestion grows; with DCQCN it does not.
 func TestFig4vs9(t *testing.T) {
-	pfc := VictimFlow(ModePFCOnly, []int{0, 2}, tiny())
-	dcqcn := VictimFlow(ModeDCQCN, []int{0, 2}, tiny())
+	victim := func(point string) float64 {
+		return runPoint(t, tiny(), "victimflow", point)["victim_med_gbps"]
+	}
+	pfc0, pfc2 := victim("no-dcqcn/t3=0"), victim("no-dcqcn/t3=2")
+	dcqcn0, dcqcn2 := victim("dcqcn/t3=0"), victim("dcqcn/t3=2")
 	// PFC-only: adding T3 senders (whose paths don't overlap the victim)
 	// still hurts the victim.
-	if !(pfc.VictimMed[1] < pfc.VictimMed[0]) {
-		t.Errorf("PFC-only victim: %.2f -> %.2f, want degradation", pfc.VictimMed[0], pfc.VictimMed[1])
+	if !(pfc2 < pfc0) {
+		t.Errorf("PFC-only victim: %.2f -> %.2f, want degradation", pfc0, pfc2)
 	}
 	// DCQCN: victim throughput roughly unchanged and far above PFC-only.
-	if dcqcn.VictimMed[1] < dcqcn.VictimMed[0]*0.7 {
-		t.Errorf("DCQCN victim degraded: %.2f -> %.2f", dcqcn.VictimMed[0], dcqcn.VictimMed[1])
+	if dcqcn2 < dcqcn0*0.7 {
+		t.Errorf("DCQCN victim degraded: %.2f -> %.2f", dcqcn0, dcqcn2)
 	}
-	if dcqcn.VictimMed[1] < 2*pfc.VictimMed[1] {
-		t.Errorf("DCQCN victim %.2f should far exceed PFC-only %.2f",
-			dcqcn.VictimMed[1], pfc.VictimMed[1])
-	}
-	if pfc.Table() == "" {
-		t.Error("table must render")
+	if dcqcn2 < 2*pfc2 {
+		t.Errorf("DCQCN victim %.2f should far exceed PFC-only %.2f", dcqcn2, pfc2)
 	}
 }
 
@@ -116,19 +132,14 @@ func TestFig11(t *testing.T) {
 // TestFig13 checks the four-configuration validation: the strawman does
 // not converge; all three fixes do.
 func TestFig13(t *testing.T) {
-	rs := Fig13All(tiny())
-	if len(rs) != 4 {
-		t.Fatal("want 4 configurations")
+	diff := func(c Fig13Config) float64 {
+		return runPoint(t, tiny(), "convergence-fig13", c.String())["mean_diff_gbps"]
 	}
-	straw := rs[0].MeanDiff
-	for _, r := range rs[1:] {
-		if r.MeanDiff > straw/2 {
-			t.Errorf("%v: diff %.2fG not clearly better than strawman %.2fG",
-				r.Config, r.MeanDiff, straw)
+	straw := diff(Fig13Strawman)
+	for _, c := range []Fig13Config{Fig13FastTimer, Fig13REDOnly, Fig13Combined} {
+		if d := diff(c); d > straw/2 {
+			t.Errorf("%v: diff %.2fG not clearly better than strawman %.2fG", c, d, straw)
 		}
-	}
-	if Fig13Table(rs) == "" {
-		t.Error("table must render")
 	}
 }
 
@@ -136,30 +147,30 @@ func TestFig13(t *testing.T) {
 // roughly flat as incast degree grows, while PFC-only collapses, and the
 // spines see orders of magnitude fewer PAUSE frames.
 func TestFig16(t *testing.T) {
-	degrees := []int{2, 10}
-	pfc := Fig16(ModePFCOnly, degrees, tiny())
-	dcqcn := Fig16(ModeDCQCN, degrees, tiny())
+	pfc2 := runPoint(t, tiny(), "benchmark-fig16", "no-dcqcn/incast=2")
+	pfc10 := runPoint(t, tiny(), "benchmark-fig16", "no-dcqcn/incast=10")
+	dcqcn2 := runPoint(t, tiny(), "benchmark-fig16", "dcqcn/incast=2")
+	dcqcn10 := runPoint(t, tiny(), "benchmark-fig16", "dcqcn/incast=10")
+	t.Logf("user p10 at 2:1 -> 10:1: PFC-only %.2f -> %.2f, DCQCN %.2f -> %.2f Gbps",
+		pfc2["user_p10_gbps"], pfc10["user_p10_gbps"], dcqcn2["user_p10_gbps"], dcqcn10["user_p10_gbps"])
 
-	if !(pfc[1].User10th < pfc[0].User10th) {
+	if !(pfc10["user_p10_gbps"] < pfc2["user_p10_gbps"]) {
 		t.Errorf("PFC-only user p10 should fall with incast degree: %.2f -> %.2f",
-			pfc[0].User10th, pfc[1].User10th)
+			pfc2["user_p10_gbps"], pfc10["user_p10_gbps"])
 	}
-	if dcqcn[1].User10th < pfc[1].User10th {
+	if dcqcn10["user_p10_gbps"] < pfc10["user_p10_gbps"] {
 		t.Errorf("DCQCN user p10 (%.2f) should beat PFC-only (%.2f) at degree 10",
-			dcqcn[1].User10th, pfc[1].User10th)
+			dcqcn10["user_p10_gbps"], pfc10["user_p10_gbps"])
 	}
 	// Fig. 15: PAUSE frames at the spines.
-	if pfc[1].SpinePauses < 100*max(dcqcn[1].SpinePauses, 1) {
-		t.Errorf("spine pauses: PFC-only %d vs DCQCN %d, want orders of magnitude",
-			pfc[1].SpinePauses, dcqcn[1].SpinePauses)
+	if pfc10["spine_pauses"] < 100*max(dcqcn10["spine_pauses"], 1) {
+		t.Errorf("spine pauses: PFC-only %.0f vs DCQCN %.0f, want orders of magnitude",
+			pfc10["spine_pauses"], dcqcn10["spine_pauses"])
 	}
 	// Fig. 16d: incast tail fairness: DCQCN p10 above PFC-only p10.
-	if dcqcn[1].Incast10th < pfc[1].Incast10th {
+	if dcqcn10["incast_p10_gbps"] < pfc10["incast_p10_gbps"] {
 		t.Errorf("DCQCN incast p10 %.2f should beat PFC-only %.2f",
-			dcqcn[1].Incast10th, pfc[1].Incast10th)
-	}
-	if Fig16Table(ModeDCQCN, dcqcn) == "" {
-		t.Error("table must render")
+			dcqcn10["incast_p10_gbps"], pfc10["incast_p10_gbps"])
 	}
 }
 
@@ -167,22 +178,18 @@ func TestFig16(t *testing.T) {
 // losslessness with good tails; removing PFC brings drops; misconfigured
 // thresholds underperform proper DCQCN.
 func TestFig18(t *testing.T) {
-	rs := Fig18(8, tiny())
-	byMode := map[Mode]Fig18Result{}
-	for _, r := range rs {
-		byMode[r.Mode] = r
+	byMode := map[Mode]harness.Metrics{}
+	for _, m := range []Mode{ModePFCOnly, ModeDCQCNNoPFC, ModeDCQCNMisconfigured, ModeDCQCN} {
+		byMode[m] = runPoint(t, tiny(), "fig18", modeLabel(m))
 	}
-	if byMode[ModeDCQCNNoPFC].Drops == 0 {
+	if byMode[ModeDCQCNNoPFC]["drops"] == 0 {
 		t.Error("no drops without PFC; line-rate starts must overflow")
 	}
-	if byMode[ModeDCQCN].Drops != 0 || byMode[ModePFCOnly].Drops != 0 || byMode[ModeDCQCNMisconfigured].Drops != 0 {
+	if byMode[ModeDCQCN]["drops"] != 0 || byMode[ModePFCOnly]["drops"] != 0 || byMode[ModeDCQCNMisconfigured]["drops"] != 0 {
 		t.Error("PFC-protected configurations must be lossless")
 	}
-	if byMode[ModeDCQCN].Incast10th < byMode[ModeDCQCNMisconfigured].Incast10th {
+	if byMode[ModeDCQCN]["incast_p10_gbps"] < byMode[ModeDCQCNMisconfigured]["incast_p10_gbps"] {
 		t.Error("proper thresholds should beat misconfigured ones for incast tails")
-	}
-	if Fig18Table(rs) == "" {
-		t.Error("table must render")
 	}
 }
 
@@ -232,17 +239,15 @@ func TestFig20(t *testing.T) {
 // TestIncastSummary checks §6.1's scaling claim: high utilization and
 // bounded queues across incast degrees, with zero loss.
 func TestIncastSummary(t *testing.T) {
-	pts := IncastSummary([]int{2, 16}, Fidelity{Duration: 20 * simtime.Millisecond, Warmup: 15 * simtime.Millisecond, Runs: 1})
-	for _, p := range pts {
-		if p.TotalGbps < 30 {
-			t.Errorf("%d:1 incast total %.1fG, want > 30G", p.K, p.TotalGbps)
+	fid := Fidelity{Duration: 20 * simtime.Millisecond, Warmup: 15 * simtime.Millisecond, Runs: 1}
+	for _, point := range []string{"2:1", "16:1"} {
+		m := runPoint(t, fid, "incast", point)
+		if m["total_gbps"] < 30 {
+			t.Errorf("%s incast total %.1fG, want > 30G", point, m["total_gbps"])
 		}
-		if p.Drops != 0 {
-			t.Errorf("%d:1 incast dropped %d packets", p.K, p.Drops)
+		if m["drops"] != 0 {
+			t.Errorf("%s incast dropped %.0f packets", point, m["drops"])
 		}
-	}
-	if IncastSummaryTable(pts) == "" {
-		t.Error("table must render")
 	}
 }
 
@@ -284,8 +289,9 @@ func TestFig1TableRenders(t *testing.T) {
 func TestAblations(t *testing.T) {
 	fid := tiny()
 
-	tb := AblationTimerVsByteCounter(fid)
-	if tb[1].Metrics["mean |r1-r2| (Gbps)"] > tb[0].Metrics["mean |r1-r2| (Gbps)"] {
+	bc := runPoint(t, fid, "ablation-timer", "byte-counter-dominated")["mean_diff_gbps"]
+	timer := runPoint(t, fid, "ablation-timer", "timer-dominated")["mean_diff_gbps"]
+	if timer > bc {
 		t.Error("timer-dominated recovery should converge at least as well as byte-counter-dominated")
 	}
 
@@ -295,45 +301,40 @@ func TestAblations(t *testing.T) {
 			fs[0].Metrics["FCT (us)"], fs[1].Metrics["FCT (us)"])
 	}
 
-	g := AblationG(fid)
-	if len(g) != 2 {
-		t.Fatal("g ablation rows")
-	}
-
-	cp := AblationCNPPriority(fid)
-	if len(cp) != 2 {
-		t.Fatal("cnp priority rows")
-	}
-
-	rai := AblationRAI(fid)
-	if len(rai) != 2 {
-		t.Fatal("rai rows")
-	}
-	if AblationTable(g, "queue p50 (KB)", "queue p99 (KB)") == "" {
-		t.Error("ablation table must render")
+	for _, c := range []struct {
+		scenario string
+		points   []string
+		metrics  []string
+	}{
+		{"ablation-g", []string{"g=1/16", "g=1/256"}, []string{"queue_p50_kb", "queue_p99_kb", "queue_sd_kb"}},
+		{"ablation-cnp", []string{"cnp-high-priority", "cnp-data-class"}, []string{"mean_diff_gbps", "total_gbps"}},
+		{"ablation-rai", []string{"rai=40.000Mbps", "rai=20.000Mbps"}, []string{"queue_p50_kb", "queue_p99_kb", "pauses"}},
+	} {
+		for _, point := range c.points {
+			m := runPoint(t, fid, c.scenario, point)
+			for _, name := range c.metrics {
+				if _, ok := m[name]; !ok {
+					t.Errorf("%s/%s: no %s metric", c.scenario, point, name)
+				}
+			}
+		}
 	}
 }
 
 // TestRandomLoss checks the §7 claim: goodput degrades sharply with
 // non-congestion loss because of go-back-N.
 func TestRandomLoss(t *testing.T) {
-	pts := RandomLoss([]float64{0, 1e-3}, tiny())
-	if len(pts) != 2 {
-		t.Fatal("want 2 points")
+	clean := runPoint(t, tiny(), "randomloss", "loss=0")
+	lossy := runPoint(t, tiny(), "randomloss", "loss=0.001")
+	if clean["retransmits"] != 0 {
+		t.Errorf("retransmits on a clean link: %.0f", clean["retransmits"])
 	}
-	clean, lossy := pts[0], pts[1]
-	if clean.Retransmits != 0 {
-		t.Errorf("retransmits on a clean link: %d", clean.Retransmits)
-	}
-	if lossy.Retransmits == 0 {
+	if lossy["retransmits"] == 0 {
 		t.Error("no retransmits at 0.1% loss")
 	}
-	if lossy.GoodputGbps > 0.8*clean.GoodputGbps {
+	if lossy["goodput_gbps"] > 0.8*clean["goodput_gbps"] {
 		t.Errorf("0.1%% loss goodput %.2fG vs clean %.2fG: go-back-N should hurt more",
-			lossy.GoodputGbps, clean.GoodputGbps)
-	}
-	if RandomLossTable(pts) == "" {
-		t.Error("table must render")
+			lossy["goodput_gbps"], clean["goodput_gbps"])
 	}
 }
 

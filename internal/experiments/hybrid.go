@@ -44,7 +44,6 @@ const HybridValidationBoundPct = 40.0
 // foreground flows packet-level and models the B background senders as
 // fluid classes on the same topology, same seed.
 type HybridValidationResult struct {
-	K, BgFlows int
 	// Foreground aggregate throughput over the measurement window.
 	PacketFgGbps, HybridFgGbps float64
 	// Mean bottleneck egress queue over the window; the hybrid value
@@ -124,7 +123,6 @@ func HybridValidationRun(k, bg int, run uint64, fid Fidelity) (HybridValidationR
 	pktFg, pktQ, pktDig := hybridValidationLeg(k, bg, run, fid, false)
 	hybFg, hybQ, hybDig := hybridValidationLeg(k, bg, run, fid, true)
 	res := HybridValidationResult{
-		K: k, BgFlows: bg,
 		PacketFgGbps: pktFg, HybridFgGbps: hybFg,
 		PacketQueueKB: pktQ, HybridQueueKB: hybQ,
 		FgErrPct:    relErrPct(hybFg, pktFg),
@@ -140,35 +138,6 @@ func relErrPct(got, want float64) float64 {
 		return 0
 	}
 	return 100 * math.Abs(got-want) / want
-}
-
-// HybridValidationSummary sweeps the validation rig over background
-// degrees — the EXPERIMENTS.md table.
-func HybridValidationSummary(fid Fidelity) []HybridValidationResult {
-	var out []HybridValidationResult
-	for _, bg := range []int{4, 8, 16} {
-		r, _ := HybridValidationRun(4, bg, 0, fid)
-		out = append(out, r)
-	}
-	return out
-}
-
-// HybridValidationTable renders the comparison.
-func HybridValidationTable(points []HybridValidationResult) string {
-	t := stats.Table{Header: []string{
-		"K:B", "fg packet (Gbps)", "fg hybrid (Gbps)", "fg err",
-		"queue packet (KB)", "queue hybrid (KB)", "queue err",
-	}}
-	for _, p := range points {
-		t.AddRow(fmt.Sprintf("%d:%d", p.K, p.BgFlows),
-			fmt.Sprintf("%.2f", p.PacketFgGbps),
-			fmt.Sprintf("%.2f", p.HybridFgGbps),
-			fmt.Sprintf("%.1f%%", p.FgErrPct),
-			fmt.Sprintf("%.1f", p.PacketQueueKB),
-			fmt.Sprintf("%.1f", p.HybridQueueKB),
-			fmt.Sprintf("%.1f%%", p.QueueErrPct))
-	}
-	return t.String()
 }
 
 // hybridFid returns fid with the substrate armed at the given flow

@@ -9,7 +9,6 @@ import (
 	"dcqcn/internal/fabric"
 	"dcqcn/internal/hostmodel"
 	"dcqcn/internal/link"
-	"dcqcn/internal/nic"
 	"dcqcn/internal/packet"
 	"dcqcn/internal/rocev2"
 	"dcqcn/internal/simtime"
@@ -122,10 +121,7 @@ func Fig20(fid Fidelity) []Fig20Result {
 			params = params.WithCutoffMarking(40 * 1000)
 			label = "cut-off (DCTCP-like, 40KB)"
 		}
-		opts := options(ModeDCQCN, 2, fid)
-		opts.NIC.Controller = nic.DCQCNFactory(params)
-		opts.Switch.Marking = params
-		net := topology.NewTestbed(77, opts)
+		net := topology.NewTestbed(77, dcqcnOptions(params, 2, fid))
 		open := openFlow(net)
 
 		// f1 first; then search a source port for f2 that collides with

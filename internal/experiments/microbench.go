@@ -65,9 +65,6 @@ func (c Fig13Config) params() core.Params {
 
 // Fig13Result summarizes one two-sender microbenchmark run.
 type Fig13Result struct {
-	Config Fig13Config
-	// Flow1 and Flow2 are the paced-rate time series (bits/s vs seconds).
-	Flow1, Flow2 stats.Series
 	// MeanDiff is the mean |r1−r2| in Gb/s over the measured window.
 	MeanDiff float64
 	// SumStdev is the stddev of r1+r2 in Gb/s — the throughput
@@ -75,9 +72,12 @@ type Fig13Result struct {
 	SumStdev float64
 }
 
-// Fig13 runs the testbed microbenchmark of §6.1: two senders and one
-// receiver on a single switch; the second sender starts 5 ms after the
-// first; rates are sampled for the remainder of the run.
+// Fig13Run executes one seeded run of the testbed microbenchmark of
+// §6.1: two senders and one receiver on a single switch; the second
+// sender starts 5 ms after the first; rates are sampled for the
+// remainder of the run. Run 0 reproduces the historical seeds; other
+// run indices re-roll the topology RNG and ECMP placement, giving
+// sweeps statistical weight.
 //
 // A deterministic simulator needs one extra ingredient the noisy testbed
 // provides for free: rate asymmetry at the moment the second flow joins
@@ -86,23 +86,13 @@ type Fig13Result struct {
 // shares the bottleneck with flow 1 until flow 2 joins, leaving flow 1
 // at roughly half rate — the asymmetric initial condition the paper's
 // fluid analysis (40G vs 5G) studies.
-func Fig13(cfg Fig13Config, fid Fidelity) Fig13Result {
-	res, _ := Fig13Run(cfg, 0, fid)
-	return res
-}
-
-// Fig13Run is the seeded per-run variant of Fig13: run 0 reproduces the
-// historical seeds; other run indices re-roll the topology RNG and ECMP
-// placement, giving sweeps statistical weight.
 func Fig13Run(cfg Fig13Config, run uint64, fid Fidelity) (Fig13Result, engine.Digest) {
-	params := cfg.params()
-	opts := options(ModeDCQCN, 1+run*7919, fid)
-	opts.NIC.Controller = nic.DCQCNFactory(params)
-	opts.Switch.Marking = params
+	opts := dcqcnOptions(cfg.params(), 1+run*7919, fid)
 	net := topology.NewStar(int64(cfg)*31+5+int64(run)*104729, 4, opts)
 	open := openFlow(net)
 
-	res := Fig13Result{Config: cfg}
+	// Paced-rate time series of the two flows (bits/s vs seconds).
+	var flow1, flow2 stats.Series
 	f1 := open("H1", "H4")
 	repostLoop(f1, 8*1000*1000, func(rocev2.Completion) {})
 	helper := open("H3", "H4")
@@ -121,69 +111,39 @@ func Fig13Run(cfg Fig13Config, run uint64, fid Fidelity) (Fig13Result, engine.Di
 		f2 := open("H2", "H4")
 		repostLoop(f2, 8*1000*1000, func(rocev2.Completion) {})
 		net.Sim.Ticker(100*simtime.Microsecond, func(now simtime.Time) {
-			res.Flow1.Add(now.Seconds(), float64(f1.CurrentRate()))
-			res.Flow2.Add(now.Seconds(), float64(f2.CurrentRate()))
+			flow1.Add(now.Seconds(), float64(f1.CurrentRate()))
+			flow2.Add(now.Seconds(), float64(f2.CurrentRate()))
 		})
 	})
 	net.Sim.Run(simtime.Time(5*simtime.Millisecond + fid.Warmup + fid.Duration))
 
 	// Metrics over the post-warmup window.
 	after := (5*simtime.Millisecond + fid.Warmup).Seconds()
-	a, b := res.Flow1.After(after), res.Flow2.After(after)
-	res.MeanDiff = gbps(stats.MeanAbsDiff(&a, &b))
+	a, b := flow1.After(after), flow2.After(after)
 	var sum stats.Sample
 	n := min(len(a.V), len(b.V))
 	for i := 0; i < n; i++ {
 		sum.Add(a.V[i] + b.V[i])
 	}
-	res.SumStdev = gbps(sum.Stddev())
-	return res, net.Sim.Digest()
-}
-
-// Fig13All runs all four configurations.
-func Fig13All(fid Fidelity) []Fig13Result {
-	var out []Fig13Result
-	for c := Fig13Strawman; c <= Fig13Combined; c++ {
-		out = append(out, Fig13(c, fid))
-	}
-	return out
-}
-
-// Fig13Table renders the validation summary.
-func Fig13Table(results []Fig13Result) string {
-	t := stats.Table{Header: []string{"configuration", "mean |r1-r2| (Gbps)", "stddev(r1+r2) (Gbps)"}}
-	for _, r := range results {
-		t.AddRow(r.Config.String(),
-			fmt.Sprintf("%.2f", r.MeanDiff),
-			fmt.Sprintf("%.2f", r.SumStdev))
-	}
-	return t.String()
+	return Fig13Result{
+		MeanDiff: gbps(stats.MeanAbsDiff(&a, &b)),
+		SumStdev: gbps(sum.Stddev()),
+	}, net.Sim.Digest()
 }
 
 // IncastSummaryPoint is one row of the §6.1 K:1 incast check: with the
 // deployed parameters, total throughput stays above 39 Gb/s and the
 // bottleneck queue under ~100 KB for K = 2..20.
 type IncastSummaryPoint struct {
-	K          int
 	TotalGbps  float64
 	QueueP99KB float64
 	Drops      int64
 }
 
-// IncastSummary reproduces the §6.1 closing microbenchmark on a single
-// switch, sweeping the incast degree.
-func IncastSummary(degrees []int, fid Fidelity) []IncastSummaryPoint {
-	var out []IncastSummaryPoint
-	for _, k := range degrees {
-		p, _ := IncastRun(k, 0, fid)
-		out = append(out, p)
-	}
-	return out
-}
-
-// IncastRun executes one seeded K:1 incast run on a single switch. Run 0
-// reproduces the historical seeds of IncastSummary; other run indices
-// re-roll the topology RNG and ECMP placement.
+// IncastRun executes one seeded run of the §6.1 closing
+// microbenchmark: a K:1 incast on a single switch. Run 0 reproduces the
+// historical seeds; other run indices re-roll the topology RNG and ECMP
+// placement.
 func IncastRun(k int, run uint64, fid Fidelity) (IncastSummaryPoint, engine.Digest) {
 	opts := options(ModeDCQCN, uint64(k)+run*7919, fid)
 	net := topology.NewStar(int64(k)*13+3+int64(run)*104729, k+1, opts)
@@ -218,21 +178,8 @@ func IncastRun(k int, run uint64, fid Fidelity) (IncastSummaryPoint, engine.Dige
 	}
 	total := simtime.RateFromBytes(after-before, fid.Duration)
 	return IncastSummaryPoint{
-		K:          k,
 		TotalGbps:  gbps(float64(total)),
 		QueueP99KB: queue.Percentile(99) / 1000,
 		Drops:      totalDrops(net),
 	}, net.Sim.Digest()
-}
-
-// IncastSummaryTable renders the sweep.
-func IncastSummaryTable(points []IncastSummaryPoint) string {
-	t := stats.Table{Header: []string{"K", "total (Gbps)", "queue p99 (KB)", "drops"}}
-	for _, p := range points {
-		t.AddRow(fmt.Sprintf("%d:1", p.K),
-			fmt.Sprintf("%.2f", p.TotalGbps),
-			fmt.Sprintf("%.1f", p.QueueP99KB),
-			fmt.Sprintf("%d", p.Drops))
-	}
-	return t.String()
 }

@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-
 	"dcqcn/internal/engine"
 	"dcqcn/internal/rocev2"
 	"dcqcn/internal/simtime"
-	"dcqcn/internal/stats"
 	"dcqcn/internal/topology"
 )
 
@@ -14,29 +11,18 @@ import (
 // goodput of a single uncongested DCQCN flow as a function of the
 // per-frame random loss probability of its path.
 type RandomLossPoint struct {
-	LossRate    float64
 	GoodputGbps float64
 	Retransmits int64
 	Timeouts    int64
 }
 
-// RandomLoss quantifies the §7 discussion: RoCEv2's go-back-N recovery
-// makes goodput collapse under even small non-congestion loss rates,
-// because every lost frame forces retransmission of the entire window
-// behind it. One sender and one receiver share an idle single-switch
-// path; loss is injected on every link.
-func RandomLoss(rates []float64, fid Fidelity) []RandomLossPoint {
-	var out []RandomLossPoint
-	for i, p := range rates {
-		point, _ := RandomLossRun(p, uint64(i), fid)
-		out = append(out, point)
-	}
-	return out
-}
-
 // RandomLossRun executes one seeded run of the §7 loss study at the
-// given per-frame loss probability. The run index re-rolls the loss and
-// topology RNG (RandomLoss historically used the rate's list index).
+// given per-frame loss probability. It quantifies the §7 discussion:
+// RoCEv2's go-back-N recovery makes goodput collapse under even small
+// non-congestion loss rates, because every lost frame forces
+// retransmission of the entire window behind it. One sender and one
+// receiver share an idle single-switch path; loss is injected on every
+// link. The run index re-rolls the loss and topology RNG.
 func RandomLossRun(lossRate float64, run uint64, fid Fidelity) (RandomLossPoint, engine.Digest) {
 	opts := options(ModeDCQCN, 8, fid)
 	// Faster RTO than the deployment default keeps the measurement
@@ -55,21 +41,8 @@ func RandomLossRun(lossRate float64, run uint64, fid Fidelity) (RandomLossPoint,
 	net.Sim.Run(simtime.Time(fid.Warmup + fid.Duration))
 	goodput := simtime.RateFromBytes(flow.Stats().PayloadAcked-base, fid.Duration)
 	return RandomLossPoint{
-		LossRate:    lossRate,
 		GoodputGbps: gbps(float64(goodput)),
 		Retransmits: flow.Stats().Retransmits,
 		Timeouts:    flow.Stats().Timeouts,
 	}, net.Sim.Digest()
-}
-
-// RandomLossTable renders the study.
-func RandomLossTable(points []RandomLossPoint) string {
-	t := stats.Table{Header: []string{"loss rate", "goodput (Gbps)", "retransmits", "timeouts"}}
-	for _, p := range points {
-		t.AddRow(fmt.Sprintf("%.4f%%", p.LossRate*100),
-			fmt.Sprintf("%.2f", p.GoodputGbps),
-			fmt.Sprintf("%d", p.Retransmits),
-			fmt.Sprintf("%d", p.Timeouts))
-	}
-	return t.String()
 }

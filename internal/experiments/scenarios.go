@@ -10,13 +10,13 @@ import (
 	"dcqcn/internal/topology"
 )
 
-// This file adapts the experiment suite to the sweep harness: every
-// packet-level experiment and ablation becomes a registered
-// harness.Scenario whose grid points are the paper's x-axes (modes,
-// incast degrees, parameter values) and whose seeds are run indices.
-// Each scenario run builds its own engine.Sim from the seed and returns
-// machine-readable metrics plus the engine digest, so the harness can
-// fan runs out over every core and gate on determinism.
+// This file is the one way to run a packet-level experiment or
+// ablation: each is a registered harness.Scenario whose grid points are
+// the paper's x-axes (modes, incast degrees, parameter values) and
+// whose seeds are run indices. Each scenario run builds its own
+// engine.Sim from the seed and returns machine-readable metrics plus
+// the engine digest, so the harness can fan runs out over every core
+// and gate on determinism, and the claim tests read the same metrics.
 
 // modeLabel names a mode for grid-point labels and artifact keys.
 func modeLabel(m Mode) string {
@@ -36,7 +36,7 @@ func modeLabel(m Mode) string {
 
 // RegisterScenarios registers the full packet-level evaluation with reg
 // at the given fidelity. The number of harness seeds per point is
-// fid.Runs, matching the statistical weight the sequential suite used.
+// fid.Runs.
 func RegisterScenarios(reg *harness.Registry, fid Fidelity) {
 	seeds := harness.Runs(fid.Runs)
 
@@ -229,8 +229,8 @@ func RegisterScenarios(reg *harness.Registry, fid Fidelity) {
 			Points:      points,
 			Seeds:       seeds,
 			Run: func(rc harness.RunContext) harness.RunResult {
-				r, dig := ablationGRun(rc.Point.Params["g"], uint64(rc.Seed), fid)
-				return harness.RunResult{Metrics: ablationMetrics(r), Digest: dig}
+				m, dig := ablationGRun(rc.Point.Params["g"], uint64(rc.Seed), fid)
+				return harness.RunResult{Metrics: m, Digest: dig}
 			},
 		})
 	}
@@ -250,8 +250,8 @@ func RegisterScenarios(reg *harness.Registry, fid Fidelity) {
 			Points:      points,
 			Seeds:       seeds,
 			Run: func(rc harness.RunContext) harness.RunResult {
-				r, dig := ablationRAIRun(simtime.Rate(rc.Point.Params["rai_bps"]), uint64(rc.Seed), fid)
-				return harness.RunResult{Metrics: ablationMetrics(r), Digest: dig}
+				m, dig := ablationRAIRun(simtime.Rate(rc.Point.Params["rai_bps"]), uint64(rc.Seed), fid)
+				return harness.RunResult{Metrics: m, Digest: dig}
 			},
 		})
 	}
@@ -347,24 +347,4 @@ func RegisterScenarios(reg *harness.Registry, fid Fidelity) {
 			},
 		})
 	}
-}
-
-// ablationMetrics converts an AblationResult's display-keyed metrics to
-// artifact-safe snake_case names.
-func ablationMetrics(r AblationResult) harness.Metrics {
-	rename := map[string]string{
-		"queue p50 (KB)": "queue_p50_kb",
-		"queue p99 (KB)": "queue_p99_kb",
-		"queue sd (KB)":  "queue_sd_kb",
-		"pauses":         "pauses",
-	}
-	out := harness.Metrics{}
-	for k, v := range r.Metrics {
-		if name, ok := rename[k]; ok {
-			out[name] = v
-		} else {
-			out[k] = v
-		}
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -137,9 +138,14 @@ var goldenDigests = map[string]string{
 	"chaos-deadlock-probe": "270759:24883f55917a4a7f",
 }
 
+// metricName is the rule every scenario metric key follows: the keys
+// become JSONL fields, summary columns and cc_compare entries.
+var metricName = regexp.MustCompile(`^[a-z0-9_]+$`)
+
 // TestGoldenDigests is the golden matrix: in every row, each registered
 // scenario's seed-0 run on its first grid point must reproduce its
-// pinned digest. The plain row guards the model itself. The armed rows
+// pinned digest. The plain row guards the model itself, and requires
+// every metric key to match metricName. The armed rows
 // are passivity gates — the flight recorder armed, and the hybrid
 // substrate armed at zero background flows, must not perturb any run —
 // and each proves it is not vacuous: the recorder must capture events
@@ -162,8 +168,10 @@ func TestGoldenDigests(t *testing.T) {
 		// live, if set, runs once after the scenarios to show that the
 		// row's mechanism reaches them at all.
 		live func(t *testing.T, fid Fidelity)
+		// checkNames requires every metric key to be an artifact name.
+		checkNames bool
 	}{
-		{name: "plain", fid: goldenFid()},
+		{name: "plain", fid: goldenFid(), checkNames: true},
 		{name: "recorder", fid: goldenFid(), blame: "the flight recorder perturbed the run", arm: armRecorder},
 		{name: "hybrid-off", fid: hybridOff, blame: "hybrid arming at 0 flows perturbed the run", live: hybridReachesScenarios},
 	}
@@ -183,6 +191,13 @@ func TestGoldenDigests(t *testing.T) {
 					Seed:     0,
 				})
 				got[sc.Name] = res.Digest.String()
+				if row.checkNames {
+					for name := range res.Metrics {
+						if !metricName.MatchString(name) {
+							t.Errorf("scenario %q: metric %q is not an artifact name (%s)", sc.Name, name, metricName)
+						}
+					}
+				}
 				if engaged != nil {
 					if err := engaged(); err != nil {
 						t.Errorf("scenario %q: %v", sc.Name, err)
@@ -194,6 +209,25 @@ func TestGoldenDigests(t *testing.T) {
 				row.live(t, row.fid)
 			}
 		})
+	}
+}
+
+// TestPinnedDCQCNRunsIgnoreCC checks that the scenarios which pin the
+// DCQCN parameters they vary keep running DCQCN under another -cc
+// algorithm: with fid.CC = "timely" each one's seed-0 run must still
+// reproduce its golden digest. Under TIMELY's capabilities CNP
+// generation is off, so a run that let fid.CC through would leave its
+// DCQCN senders without feedback and diverge.
+func TestPinnedDCQCNRunsIgnoreCC(t *testing.T) {
+	fid := goldenFid()
+	fid.CC = "timely"
+	reg := testRegistry(t, fid)
+	for _, name := range []string{"convergence-fig13", "ablation-g", "ablation-rai", "ablation-timer", "ablation-cnp"} {
+		sc, _ := reg.Get(name)
+		res := sc.Run(harness.RunContext{Scenario: sc.Name, Point: sc.Points[0], Seed: 0})
+		if got := res.Digest.String(); got != goldenDigests[name] {
+			t.Errorf("scenario %q under -cc timely: %s — it must always run DCQCN", name, diagnoseDigest(got, goldenDigests[name]))
+		}
 	}
 }
 

@@ -57,18 +57,6 @@ func FixedRateFactory(rate simtime.Rate) ControllerFactory {
 	return func(core.Clock) rocev2.RateController { return rocev2.FixedRate(rate) }
 }
 
-// QCNReactor is implemented by controllers that consume QCN quantized
-// feedback (the L2 baseline) in addition to, or instead of, CNPs.
-type QCNReactor interface {
-	OnQCNFeedback(fb float64)
-}
-
-// RTTReactor is implemented by delay-based controllers (the TIMELY
-// baseline): they receive an RTT sample per acknowledgement.
-type RTTReactor interface {
-	OnRTT(rtt simtime.Duration)
-}
-
 // Config assembles a NIC personality.
 type Config struct {
 	// LineRate is the port speed.
@@ -184,8 +172,8 @@ type flowState struct {
 	// discovery for cc.Controller implementations, interface probing for
 	// legacy controllers), so the per-packet receive path pays a nil
 	// check — not an interface type assertion — per unconsumed signal.
-	rtt  RTTReactor
-	qcn  QCNReactor
+	rtt  cc.RTTReactor
+	qcn  cc.QCNReactor
 	ack  cc.AckReactor
 	hint cc.HintReactor
 	// lastEchoedSentAt is the newest send stamp an ACK has echoed back.
@@ -279,10 +267,10 @@ func (n *NIC) OpenFlow(dst packet.NodeID) *Flow {
 		// programming error that must fail loudly, at open time.
 		caps := cctrl.Capabilities()
 		if caps&cc.CapRTT != 0 {
-			fs.rtt = cctrl.(RTTReactor)
+			fs.rtt = cctrl.(cc.RTTReactor)
 		}
 		if caps&cc.CapQCN != 0 {
-			fs.qcn = cctrl.(QCNReactor)
+			fs.qcn = cctrl.(cc.QCNReactor)
 		}
 		if caps&cc.CapAckECN != 0 {
 			fs.ack = cctrl.(cc.AckReactor)
@@ -298,10 +286,10 @@ func (n *NIC) OpenFlow(dst packet.NodeID) *Flow {
 		if rp, ok := ctrl.(*core.RP); ok {
 			rp.OnRateChange = rateHook
 		}
-		if rr, ok := ctrl.(RTTReactor); ok {
+		if rr, ok := ctrl.(cc.RTTReactor); ok {
 			fs.rtt = rr
 		}
-		if qr, ok := ctrl.(QCNReactor); ok {
+		if qr, ok := ctrl.(cc.QCNReactor); ok {
 			fs.qcn = qr
 		}
 	}

@@ -5,7 +5,7 @@
 // delay-based alternative developed concurrently at Google.
 //
 // TIMELY is rate-based like DCQCN, so it plugs into the same NIC pacing
-// machinery (rocev2.RateController + nic.RTTReactor). Per RTT sample:
+// machinery (rocev2.RateController + cc.RTTReactor). Per RTT sample:
 //
 //   - compute the RTT gradient, smoothed by EWMA and normalized by the
 //     minimum RTT;
@@ -95,7 +95,7 @@ type Stats struct {
 }
 
 // Controller is one flow's TIMELY instance. It implements
-// rocev2.RateController and nic.RTTReactor.
+// rocev2.RateController and cc.RTTReactor.
 type Controller struct {
 	params Params
 	clock  core.Clock

@@ -1,13 +1,11 @@
 // Package trace provides the observability layer for simulations:
-// periodic sampling of named gauges into time series, counter snapshots,
-// and CSV export for plotting — how the repository's figures are
-// extracted from runs.
+// periodic sampling of named gauges into time series and CSV export
+// for plotting — how the repository's figures are extracted from runs.
 package trace
 
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"dcqcn/internal/engine"
 	"dcqcn/internal/simtime"
@@ -123,36 +121,4 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Counters is a labelled snapshot store for end-of-run counter values,
-// rendered as a sorted table.
-type Counters struct {
-	values map[string]int64
-}
-
-// NewCounters creates an empty snapshot store.
-func NewCounters() *Counters { return &Counters{values: make(map[string]int64)} }
-
-// Set records (or overwrites) a counter value.
-func (c *Counters) Set(name string, v int64) { c.values[name] = v }
-
-// Add increments a counter.
-func (c *Counters) Add(name string, v int64) { c.values[name] += v }
-
-// Get returns a counter value (zero if unset).
-func (c *Counters) Get(name string) int64 { return c.values[name] }
-
-// String renders counters sorted by name.
-func (c *Counters) String() string {
-	names := make([]string, 0, len(c.values))
-	for n := range c.values {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	t := stats.Table{Header: []string{"counter", "value"}}
-	for _, n := range names {
-		t.AddRow(n, fmt.Sprintf("%d", c.values[n]))
-	}
-	return t.String()
 }

@@ -92,21 +92,3 @@ func TestGaugeAfterStartPanics(t *testing.T) {
 	}()
 	r.Gauge("late", func() float64 { return 0 })
 }
-
-func TestCounters(t *testing.T) {
-	c := NewCounters()
-	c.Set("drops", 5)
-	c.Add("drops", 2)
-	c.Add("pauses", 1)
-	if c.Get("drops") != 7 || c.Get("pauses") != 1 || c.Get("none") != 0 {
-		t.Fatalf("counters wrong: %s", c)
-	}
-	out := c.String()
-	if !strings.Contains(out, "drops") || !strings.Contains(out, "7") {
-		t.Fatalf("render %q", out)
-	}
-	// Sorted order: drops before pauses.
-	if strings.Index(out, "drops") > strings.Index(out, "pauses") {
-		t.Fatal("counters not sorted")
-	}
-}
