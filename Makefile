@@ -11,7 +11,7 @@ GO ?= go
 # same code (testdata fixtures are excluded by pattern expansion).
 PKGS ?= ./...
 
-.PHONY: check fmt vet lint build test race faults invariants flightrec cc hybrid bench-test escape escape-update alloc-budgets bench bench-json sweep-smoke sweep chaos clean
+.PHONY: check fmt vet lint build test race faults invariants flightrec cc hybrid bench-test escape escape-update alloc-budgets bench sweep-smoke sweep chaos clean
 
 check: fmt vet lint build faults race invariants flightrec cc hybrid bench-test
 
@@ -84,25 +84,31 @@ invariants:
 # chains, diffing, exporters), the armed chaos smoke (every chaos
 # scenario swept with recording on and the determinism gate checking
 # that digests are unchanged), and the replay self-check — a same-seed
-# diff must report no divergence, a cross-seed diff on the DCQCN point
-# must find one.
+# diff must report no divergence (on a chaos scenario and on a hybrid
+# one, so replay resolves every scenario family), a cross-seed diff on
+# the DCQCN point must find one.
 flightrec:
 	$(GO) test ./internal/flightrec/...
 	$(GO) run ./cmd/dcqcn-sweep -scenario 'chaos-*' -seeds 1 -parallel 0 \
 		-check-determinism -record -quiet -out chaos-out
 	$(GO) run ./cmd/dcqcn-replay -scenario chaos-pause-storm -diff-seed 0 \
 		-expect same > /dev/null
+	$(GO) run ./cmd/dcqcn-replay -scenario hybrid-validate -diff-seed 0 \
+		-expect same > /dev/null
 	$(GO) run ./cmd/dcqcn-replay -scenario chaos-pause-storm -point 1 \
 		-diff-seed 1 -expect diverged > /dev/null
 
 # Congestion-control framework gate (internal/cc): the registry, fuzz,
-# controller and allocation-budget tests plus the NIC dispatch tests,
-# then a two-algorithm head-to-head smoke sweep through the -cc CLI
-# path with the determinism gate on (digest-identical reruns per
-# algorithm; cc_compare.json lands in cc-out/). The golden digests —
-# which pin DCQCN routed through the framework — run in `race`/`test`.
+# controller and allocation-budget tests, the NIC dispatch tests and the
+# TIMELY and QCN end-to-end NIC rigs (registry controllers, like every
+# other NIC controller), then a two-algorithm head-to-head smoke sweep
+# through the -cc CLI path with the determinism gate on
+# (digest-identical reruns per algorithm; cc_compare.json lands in
+# cc-out/). The golden digests — which pin DCQCN routed through the
+# framework — run in `race`/`test`.
 cc:
-	$(GO) test -count=1 ./internal/cc/ ./internal/nic/ ./cmd/dcqcn-sweep/
+	$(GO) test -count=1 ./internal/cc/ ./internal/nic/ ./internal/timely/ \
+		./internal/qcn/ ./cmd/dcqcn-sweep/
 	$(GO) run ./cmd/dcqcn-sweep -cc dcqcn,timely -scenario incast -seeds 1 \
 		-check-determinism -quiet -out cc-out
 
@@ -128,13 +134,6 @@ bench-test:
 
 bench:
 	$(GO) test -run=NONE -bench=BenchmarkSweep -benchtime=1x .
-
-# The hybrid-substrate scaling artifact (ns/sim-ms at 0/10k/100k/1M
-# background flows plus the speedup over a packet-equivalent
-# extrapolation), gated on determinism and a >=10x speedup. Per-event
-# host cost is measured by cmd/dcqcn-bench.
-bench-json:
-	BENCH_JSON=BENCH_10.json $(GO) test -run TestHybridBenchArtifact -v .
 
 # Quick end-to-end exercise of the harness: one scenario, 4 workers,
 # determinism gate on. Artifacts land in sweep-out/.

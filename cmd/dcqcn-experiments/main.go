@@ -17,7 +17,8 @@
 // a minute and preserve every qualitative conclusion. -cc swaps the
 // congestion-control algorithm (internal/cc registry name) for the
 // DCQCN modes of every experiment, except those that vary DCQCN's own
-// parameters (fig13, fig20 and the ablations), which always run DCQCN.
+// parameters (fig13, fig20 and the ablations), which always run DCQCN,
+// and the timely extension, which always compares DCQCN with TIMELY.
 // -hybrid -bg-flows=N runs every packet-level experiment over N fluid
 // background flows (internal/hybrid); the hybrid experiment entry
 // itself sweeps the hybrid-* scenarios regardless.
@@ -192,9 +193,7 @@ func main() {
 	fid.Hybrid = *hybrid || *bgFlows > 0
 	fid.BgFlows = *bgFlows
 	reg := harness.NewRegistry()
-	experiments.RegisterScenarios(reg, fid)
-	experiments.RegisterChaosScenarios(reg, fid)
-	experiments.RegisterHybridScenarios(reg, fid)
+	experiments.RegisterAll(reg, fid)
 
 	exps := all(reg, fid, *parallel)
 	if *list {

@@ -67,8 +67,7 @@ func main() {
 		fid = experiments.Full()
 	}
 	reg := harness.NewRegistry()
-	experiments.RegisterScenarios(reg, fid)
-	experiments.RegisterChaosScenarios(reg, fid)
+	experiments.RegisterAll(reg, fid)
 
 	if *list {
 		for _, sc := range reg.All() {

@@ -123,9 +123,7 @@ func main() {
 
 	if *list {
 		reg := harness.NewRegistry()
-		experiments.RegisterScenarios(reg, baseFid)
-		experiments.RegisterChaosScenarios(reg, baseFid)
-		experiments.RegisterHybridScenarios(reg, baseFid)
+		experiments.RegisterAll(reg, baseFid)
 		for _, sc := range reg.All() {
 			fmt.Printf("%-18s %3d points x %d seeds  %s\n",
 				sc.Name, len(sc.Points), len(sc.Seeds), sc.Description)
@@ -144,9 +142,7 @@ func main() {
 			fid.CCParams = sel.ParamsJSON()
 		}
 		reg := harness.NewRegistry()
-		experiments.RegisterScenarios(reg, fid)
-		experiments.RegisterChaosScenarios(reg, fid)
-		experiments.RegisterHybridScenarios(reg, fid)
+		experiments.RegisterAll(reg, fid)
 		scs, err := reg.Select(*scenario)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -144,15 +144,13 @@ type AckReactor interface {
 }
 
 // RTTReactor is implemented by delay-based controllers (CapRTT): they
-// receive an RTT sample per acknowledgement. The NIC probes legacy
-// controllers built outside the registry (timely.Factory) for it too.
+// receive an RTT sample per acknowledgement.
 type RTTReactor interface {
 	OnRTT(rtt simtime.Duration)
 }
 
 // QCNReactor is implemented by controllers consuming quantized 802.1Qau
-// feedback (CapQCN). The NIC probes legacy controllers built outside
-// the registry (qcn.Factory) for it too.
+// feedback (CapQCN).
 type QCNReactor interface {
 	OnQCNFeedback(fb float64)
 }
@@ -304,13 +302,25 @@ func ParseSelections(spec string, lineRate simtime.Rate) ([]Selection, error) {
 	return sels, nil
 }
 
+// DCQCN returns the dcqcn selection with the given reaction-point
+// parameters — the deployed algorithm at a parameter set under test.
+func DCQCN(p core.Params) Selection {
+	return Selection{Name: "dcqcn", Algorithm: registry["dcqcn"], Params: &p}
+}
+
+// Fixed returns the fixed-rate selection sending at rate: no congestion
+// control, the PFC-only baseline.
+func Fixed(rate simtime.Rate) Selection {
+	return Selection{Name: "fixed", Algorithm: registry["fixed"], Params: &FixedParams{Rate: rate}}
+}
+
 // Caps returns the signal set of the selection.
 func (s Selection) Caps() Capability { return s.Algorithm.Caps(s.Params) }
 
 // Factory returns a nic.Config-compatible controller factory for the
 // selection.
-func (s Selection) Factory() func(core.Clock) rocev2.RateController {
-	return func(clock core.Clock) rocev2.RateController {
+func (s Selection) Factory() func(core.Clock) Controller {
+	return func(clock core.Clock) Controller {
 		return s.Algorithm.New(s.Params, clock)
 	}
 }

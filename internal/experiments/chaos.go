@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"dcqcn/internal/cc"
 	"dcqcn/internal/engine"
 	"dcqcn/internal/fabric"
 	"dcqcn/internal/faults"
@@ -370,7 +371,7 @@ func ChaosDeadlockProbeRun(run uint64, fid Fidelity) (harness.Metrics, engine.Di
 	// Pace senders below ring capacity (two hosts share each ring link)
 	// so steady-state congestion alone cannot close the wait graph: the
 	// cycle the poller finds is the storm's doing, not the workload's.
-	opts.NIC.Controller = nic.FixedRateFactory(10 * simtime.Gbps)
+	topology.ApplyCC(&opts, cc.Fixed(10*simtime.Gbps), true)
 	net := topology.NewRing(int64(run)*104729+23, 4, opts)
 	tl := newChaosTimeline(fid)
 	aud := invariant.Attach(net)

@@ -70,9 +70,10 @@ type Fidelity struct {
 	Runs int
 	// CC selects the congestion-control algorithm by registry name for
 	// the DCQCN modes of every scenario (the PFC-only baseline keeps its
-	// fixed-rate sender, and the runs built by dcqcnOptions keep DCQCN).
-	// Empty means "dcqcn" — the deployed algorithm, routed through the
-	// internal/cc framework either way.
+	// fixed-rate sender, the runs built by dcqcnOptions keep DCQCN, and
+	// TimelyComparison names both of its arms). Empty means "dcqcn" —
+	// the deployed algorithm, routed through the internal/cc framework
+	// either way.
 	CC string
 	// CCParams, if non-nil, is a JSON object overlaid onto the selected
 	// algorithm's default parameters (the -cc-params flag; see
@@ -117,10 +118,9 @@ func options(mode Mode, seedBase uint64, fid Fidelity) topology.Options {
 	// shows flows that effectively never recover.
 	opts.NIC.Transport.RTO = 16 * simtime.Millisecond
 	if mode == ModePFCOnly {
-		opts.NIC.Controller = nic.FixedRateFactory(40 * simtime.Gbps)
-		opts.NIC.NPEnabled = false
-		opts.Switch.Marking.KMin = 1 << 40 // marking off
-		opts.Switch.Marking.KMax = 1 << 40
+		// Fixed-rate senders consume no signal: ApplyCC switches CNP
+		// generation and ECN marking off.
+		topology.ApplyCC(&opts, cc.Fixed(40*simtime.Gbps), true)
 		armHybrid(&opts, fid)
 		return opts
 	}
@@ -175,7 +175,7 @@ func options(mode Mode, seedBase uint64, fid Fidelity) topology.Options {
 func dcqcnOptions(params core.Params, seedBase uint64, fid Fidelity) topology.Options {
 	fid.CC, fid.CCParams = "", nil
 	opts := options(ModeDCQCN, seedBase, fid)
-	opts.NIC.Controller = nic.DCQCNFactory(params)
+	topology.ApplyCC(&opts, cc.DCQCN(params), true)
 	opts.Switch.Marking = params
 	return opts
 }

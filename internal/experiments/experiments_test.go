@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -360,6 +361,14 @@ func TestTimelyComparison(t *testing.T) {
 	}
 	if TimelyComparisonTable(rs) == "" {
 		t.Error("table must render")
+	}
+	// Both arms are built by registry name: -cc must not swap the
+	// algorithm under the DCQCN label.
+	fid := tiny()
+	fid.CC = "timely"
+	if got := TimelyComparison(fid); !reflect.DeepEqual(got, rs) {
+		t.Errorf("rows moved with fid.CC = timely:\n%s\nwant:\n%s",
+			TimelyComparisonTable(got), TimelyComparisonTable(rs))
 	}
 }
 

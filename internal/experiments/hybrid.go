@@ -154,7 +154,8 @@ var hybridScales = []int{10_000, 100_000, 1_000_000}
 
 // RegisterHybridScenarios registers the hybrid co-simulation scenarios.
 // They are kept out of RegisterScenarios so the 16-scenario golden
-// digest table stays pinned; the CLIs register both.
+// digest table stays pinned; the CLIs register every family through
+// RegisterAll.
 func RegisterHybridScenarios(reg *harness.Registry, fid Fidelity) {
 	seeds := harness.Runs(fid.Runs)
 

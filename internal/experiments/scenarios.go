@@ -34,6 +34,15 @@ func modeLabel(m Mode) string {
 	}
 }
 
+// RegisterAll registers every scenario family with reg: the packet-level
+// evaluation, the chaos suite and the hybrid scenarios. Every CLI that
+// resolves scenario names calls it, so all of them accept the same set.
+func RegisterAll(reg *harness.Registry, fid Fidelity) {
+	RegisterScenarios(reg, fid)
+	RegisterChaosScenarios(reg, fid)
+	RegisterHybridScenarios(reg, fid)
+}
+
 // RegisterScenarios registers the full packet-level evaluation with reg
 // at the given fidelity. The number of harness seeds per point is
 // fid.Runs.

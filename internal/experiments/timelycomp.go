@@ -8,7 +8,6 @@ import (
 	"dcqcn/internal/rocev2"
 	"dcqcn/internal/simtime"
 	"dcqcn/internal/stats"
-	"dcqcn/internal/timely"
 	"dcqcn/internal/topology"
 )
 
@@ -28,18 +27,14 @@ type TimelyComparisonResult struct {
 
 // TimelyComparison runs an 8:1 single-switch incast under DCQCN and
 // under TIMELY and reports queue percentiles, fairness and utilization.
+// Both arms are selected by registry name, so fid.CC and fid.CCParams
+// move neither row; ApplyCC gives the TIMELY arm its delay-only rig.
 func TimelyComparison(fid Fidelity) []TimelyComparisonResult {
 	const degree = 8
 	var out []TimelyComparisonResult
-	for _, proto := range []string{"DCQCN", "TIMELY"} {
+	for _, arm := range []struct{ proto, cc string }{{"DCQCN", "dcqcn"}, {"TIMELY", "timely"}} {
+		fid.CC, fid.CCParams = arm.cc, nil
 		opts := options(ModeDCQCN, 12, fid)
-		if proto == "TIMELY" {
-			opts.NIC.NPEnabled = false
-			opts.NIC.Transport.AckEvery = 4 // denser RTT samples
-			opts.NIC.Controller = timely.Factory(timely.DefaultParams())
-			opts.Switch.Marking.KMin = 1 << 40 // delay only, no ECN
-			opts.Switch.Marking.KMax = 1 << 40
-		}
 		net := topology.NewStar(91, degree+1, opts)
 		open := openFlow(net)
 		recv := fmt.Sprintf("H%d", degree+1)
@@ -80,7 +75,7 @@ func TimelyComparison(fid Fidelity) []TimelyComparisonResult {
 		}
 		ratio := maxR / max(minR, 1)
 		out = append(out, TimelyComparisonResult{
-			Protocol:      proto,
+			Protocol:      arm.proto,
 			QueueP50KB:    queue.Median() / 1000,
 			QueueP99KB:    queue.Percentile(99) / 1000,
 			FairnessRatio: ratio,

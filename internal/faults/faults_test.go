@@ -3,8 +3,8 @@ package faults_test
 import (
 	"testing"
 
+	"dcqcn/internal/cc"
 	"dcqcn/internal/faults"
-	"dcqcn/internal/nic"
 	"dcqcn/internal/rocev2"
 	"dcqcn/internal/simtime"
 	"dcqcn/internal/topology"
@@ -16,12 +16,9 @@ import (
 // fault-recovery tests converge quickly.
 func pfcOnlyOpts() topology.Options {
 	opts := topology.DefaultOptions()
-	opts.NIC.Controller = nic.FixedRateFactory(40 * simtime.Gbps)
-	opts.NIC.NPEnabled = false
+	topology.ApplyCC(&opts, cc.Fixed(40*simtime.Gbps), true)
 	opts.NIC.Transport.WindowPackets = 16384
 	opts.NIC.Transport.RTO = 2 * simtime.Millisecond
-	opts.Switch.Marking.KMin = 1 << 40 // marking off
-	opts.Switch.Marking.KMax = 1 << 40
 	return opts
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dcqcn/internal/cc"
 	"dcqcn/internal/faults"
 	"dcqcn/internal/flightrec"
 	"dcqcn/internal/nic"
@@ -19,12 +20,9 @@ import (
 // cascades build within a couple of simulated milliseconds.
 func pfcOnlyOpts() topology.Options {
 	opts := topology.DefaultOptions()
-	opts.NIC.Controller = nic.FixedRateFactory(40 * simtime.Gbps)
-	opts.NIC.NPEnabled = false
+	topology.ApplyCC(&opts, cc.Fixed(40*simtime.Gbps), true)
 	opts.NIC.Transport.WindowPackets = 16384
 	opts.NIC.Transport.RTO = 2 * simtime.Millisecond
-	opts.Switch.Marking.KMin = 1 << 40 // marking off
-	opts.Switch.Marking.KMax = 1 << 40
 	return opts
 }
 

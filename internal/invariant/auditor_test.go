@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"dcqcn/internal/nic"
+	"dcqcn/internal/cc"
 	"dcqcn/internal/simtime"
 	"dcqcn/internal/topology"
 )
@@ -85,10 +85,7 @@ func TestPairedPFCClean(t *testing.T) {
 	// across the PAUSE threshold.
 	opts := topology.DefaultOptions()
 	opts.NIC.Transport.WindowPackets = 16384
-	opts.NIC.Controller = nic.FixedRateFactory(40 * simtime.Gbps)
-	opts.NIC.NPEnabled = false
-	opts.Switch.Marking.KMin = 1 << 40
-	opts.Switch.Marking.KMax = 1 << 40
+	topology.ApplyCC(&opts, cc.Fixed(40*simtime.Gbps), true)
 	net := topology.NewStar(1, 5, opts)
 	aud := Attach(net)
 

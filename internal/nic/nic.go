@@ -2,8 +2,11 @@
 // of DCQCN. A NIC owns one port into the fabric and, per flow,
 //
 //   - a sender queue pair with a hardware-style rate limiter paced by a
-//     pluggable congestion controller (DCQCN's RP, fixed-rate for the
-//     PFC-only baseline, or the QCN baseline);
+//     congestion controller from the internal/cc registry (DCQCN's RP by
+//     default; fixed-rate for the PFC-only baseline, TIMELY, QCN and the
+//     other registered algorithms by selection). The NIC subscribes the
+//     controller to the signals its capabilities declare and re-arms the
+//     pacer through its rate listener;
 //   - a receiver queue pair plus DCQCN's NP state machine generating CNPs
 //     from CE-marked arrivals;
 //   - reaction to PFC PAUSE from the top-of-rack switch (handled by the
@@ -40,22 +43,13 @@ func (c Clock) After(d simtime.Duration, fn func()) func() {
 	return func() { c.Sim.Cancel(h) }
 }
 
-// ControllerFactory builds the congestion controller for a new flow.
-type ControllerFactory func(clock core.Clock) rocev2.RateController
-
-// DCQCNFactory returns a factory producing DCQCN reaction points with the
-// given parameters.
-func DCQCNFactory(params core.Params) ControllerFactory {
-	return func(clock core.Clock) rocev2.RateController {
-		return core.NewRP(params, clock)
-	}
-}
+// ControllerFactory builds the congestion controller for a new flow;
+// cc.Selection.Factory provides one for every registered algorithm.
+type ControllerFactory func(clock core.Clock) cc.Controller
 
 // FixedRateFactory returns a factory producing uncontrolled senders (the
 // PFC-only baseline).
-func FixedRateFactory(rate simtime.Rate) ControllerFactory {
-	return func(core.Clock) rocev2.RateController { return rocev2.FixedRate(rate) }
-}
+func FixedRateFactory(rate simtime.Rate) ControllerFactory { return cc.Fixed(rate).Factory() }
 
 // Config assembles a NIC personality.
 type Config struct {
@@ -99,7 +93,7 @@ func DefaultConfig() Config {
 	return Config{
 		LineRate:       40 * simtime.Gbps,
 		Transport:      rocev2.DefaultConfig(),
-		Controller:     DCQCNFactory(params),
+		Controller:     cc.DCQCN(params).Factory(),
 		NP:             params,
 		NPEnabled:      true,
 		CNPPacing:      simtime.Microsecond,
@@ -166,12 +160,11 @@ type NIC struct {
 // flowState is the NIC-side pacing state of one sender QP.
 type flowState struct {
 	qp   *rocev2.Sender
-	ctrl rocev2.RateController
+	ctrl cc.Controller
 
-	// Typed signal subscriptions, resolved once at OpenFlow (capability
-	// discovery for cc.Controller implementations, interface probing for
-	// legacy controllers), so the per-packet receive path pays a nil
-	// check — not an interface type assertion — per unconsumed signal.
+	// Typed signal subscriptions, resolved once at OpenFlow by capability
+	// discovery, so the per-packet receive path pays a nil check — not an
+	// interface type assertion — per unconsumed signal.
 	rtt  cc.RTTReactor
 	qcn  cc.QCNReactor
 	ack  cc.AckReactor
@@ -254,45 +247,29 @@ func (n *NIC) OpenFlow(dst packet.NodeID) *Flow {
 		qp:   rocev2.NewSender(id, tuple, n.cfg.Transport, n.clock, ctrl),
 		ctrl: ctrl,
 	}
-	rateHook := func(r simtime.Rate) {
+	// Capability discovery: subscribe only the signals the controller
+	// declares. The assertions are unchecked on purpose — a controller
+	// declaring a capability without the matching reactor method is a
+	// programming error that must fail loudly, at open time.
+	caps := ctrl.Capabilities()
+	if caps&cc.CapRTT != 0 {
+		fs.rtt = ctrl.(cc.RTTReactor)
+	}
+	if caps&cc.CapQCN != 0 {
+		fs.qcn = ctrl.(cc.QCNReactor)
+	}
+	if caps&cc.CapAckECN != 0 {
+		fs.ack = ctrl.(cc.AckReactor)
+	}
+	if caps&cc.CapHint != 0 {
+		fs.hint = ctrl.(cc.HintReactor)
+	}
+	ctrl.SetRateListener(func(r simtime.Rate) {
 		n.onRateChange(fs)
 		if n.OnRateUpdate != nil {
 			n.OnRateUpdate(id, r)
 		}
-	}
-	if cctrl, ok := ctrl.(cc.Controller); ok {
-		// Capability discovery: subscribe only the signals the controller
-		// declares. The assertions are unchecked on purpose — a controller
-		// declaring a capability without the matching reactor method is a
-		// programming error that must fail loudly, at open time.
-		caps := cctrl.Capabilities()
-		if caps&cc.CapRTT != 0 {
-			fs.rtt = cctrl.(cc.RTTReactor)
-		}
-		if caps&cc.CapQCN != 0 {
-			fs.qcn = cctrl.(cc.QCNReactor)
-		}
-		if caps&cc.CapAckECN != 0 {
-			fs.ack = cctrl.(cc.AckReactor)
-		}
-		if caps&cc.CapHint != 0 {
-			fs.hint = cctrl.(cc.HintReactor)
-		}
-		cctrl.SetRateListener(rateHook)
-	} else {
-		// Legacy controllers built outside the cc registry: DCQCN's RP
-		// gets the rate hook it always had, delay/QCN baselines are
-		// probed structurally.
-		if rp, ok := ctrl.(*core.RP); ok {
-			rp.OnRateChange = rateHook
-		}
-		if rr, ok := ctrl.(cc.RTTReactor); ok {
-			fs.rtt = rr
-		}
-		if qr, ok := ctrl.(cc.QCNReactor); ok {
-			fs.qcn = qr
-		}
-	}
+	})
 	fs.pace = func() { n.trySend(fs) }
 	fs.qp.SetWakeFunc(fs.pace)
 	n.senders[id] = fs
@@ -310,9 +287,9 @@ func (f *Flow) ID() packet.FlowID { return f.id }
 // Stats returns the sender transport counters.
 func (f *Flow) Stats() rocev2.SenderStats { return f.fs.qp.Stats }
 
-// Controller returns the flow's congestion controller (e.g. to inspect
-// the DCQCN RP state).
-func (f *Flow) Controller() rocev2.RateController { return f.fs.ctrl }
+// Controller returns the flow's congestion controller; cc.Unwrap reaches
+// the state machine behind it (e.g. to inspect the DCQCN RP state).
+func (f *Flow) Controller() cc.Controller { return f.fs.ctrl }
 
 // CurrentRate returns the rate the flow is being paced at right now.
 func (f *Flow) CurrentRate() simtime.Rate { return f.fs.ctrl.Rate() }

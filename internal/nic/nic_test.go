@@ -3,6 +3,7 @@ package nic
 import (
 	"testing"
 
+	"dcqcn/internal/cc"
 	"dcqcn/internal/core"
 	"dcqcn/internal/engine"
 	"dcqcn/internal/fabric"
@@ -154,12 +155,14 @@ type qcnStub struct {
 	got []float64
 }
 
-func (q *qcnStub) OnQCNFeedback(fb float64) { q.got = append(q.got, fb) }
+func (q *qcnStub) Capabilities() cc.Capability        { return cc.CapQCN }
+func (q *qcnStub) SetRateListener(func(simtime.Rate)) {}
+func (q *qcnStub) OnQCNFeedback(fb float64)           { q.got = append(q.got, fb) }
 
 func TestQCNFeedbackDispatch(t *testing.T) {
 	stub := &qcnStub{RateController: rocev2.FixedRate(40 * simtime.Gbps)}
 	cfg := DefaultConfig()
-	cfg.Controller = func(core.Clock) rocev2.RateController { return stub }
+	cfg.Controller = func(core.Clock) cc.Controller { return stub }
 	tb := newTestbed(5, 2, cfg, fabric.DefaultConfig())
 	f := tb.nics[0].OpenFlow(2)
 	// Hand-deliver a QCN feedback frame to the sender NIC.
@@ -385,7 +388,9 @@ type rttStub struct {
 	samples []simtime.Duration
 }
 
-func (r *rttStub) OnRTT(d simtime.Duration) { r.samples = append(r.samples, d) }
+func (r *rttStub) Capabilities() cc.Capability        { return cc.CapRTT }
+func (r *rttStub) SetRateListener(func(simtime.Rate)) {}
+func (r *rttStub) OnRTT(d simtime.Duration)           { r.samples = append(r.samples, d) }
 
 // TestRTTSamplingFiltersGoBackN is the regression test for RTT sampling
 // under go-back-N: after a retransmission the receiver keeps re-ACKing
@@ -396,7 +401,7 @@ func (r *rttStub) OnRTT(d simtime.Duration) { r.samples = append(r.samples, d) }
 func TestRTTSamplingFiltersGoBackN(t *testing.T) {
 	stub := &rttStub{RateController: rocev2.FixedRate(40 * simtime.Gbps)}
 	cfg := DefaultConfig()
-	cfg.Controller = func(core.Clock) rocev2.RateController { return stub }
+	cfg.Controller = func(core.Clock) cc.Controller { return stub }
 	tb := newTestbed(6, 2, cfg, fabric.DefaultConfig())
 	f := tb.nics[0].OpenFlow(2)
 

@@ -143,14 +143,6 @@ func (r *RP) OnQCNFeedback(fb float64) {
 // OnCNP is a no-op: pure QCN senders do not understand RoCEv2 CNPs.
 func (r *RP) OnCNP() {}
 
-// Factory returns a nic.Config-compatible controller factory producing
-// QCN reaction points.
-func Factory(params core.Params) func(core.Clock) rocev2.RateController {
-	return func(clock core.Clock) rocev2.RateController {
-		return NewRP(params, clock)
-	}
-}
-
 var _ rocev2.RateController = (*RP)(nil)
 
 // LineRateParams returns RP parameters suitable for the QCN baseline:

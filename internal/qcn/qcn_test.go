@@ -3,6 +3,7 @@ package qcn_test
 import (
 	"testing"
 
+	"dcqcn/internal/cc"
 	"dcqcn/internal/core"
 	"dcqcn/internal/engine"
 	"dcqcn/internal/fabric"
@@ -87,6 +88,17 @@ func TestRPRecovers(t *testing.T) {
 	}
 }
 
+// qcnSelection resolves the registry's QCN baseline at 40 Gb/s: the
+// reaction point on DCQCN's recovery constants with Gd·Fb_max = 1/2.
+func qcnSelection(t *testing.T) cc.Selection {
+	t.Helper()
+	sel, err := cc.Select("qcn", 40*simtime.Gbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel
+}
+
 // TestQCNControlsSingleSwitchIncast: end to end on one switch, QCN keeps
 // the queue near QEq and the flows share the link.
 func TestQCNControlsSingleSwitchIncast(t *testing.T) {
@@ -96,7 +108,7 @@ func TestQCNControlsSingleSwitchIncast(t *testing.T) {
 	swCfg.Marking.KMax = 1 << 40
 	sw := fabric.New(sim, 1000, "sw", 3, swCfg)
 	nicCfg := nic.DefaultConfig()
-	nicCfg.Controller = qcn.Factory(qcn.LineRateParams(40 * simtime.Gbps))
+	nicCfg.Controller = qcnSelection(t).Factory()
 	nicCfg.NPEnabled = false
 	var nics []*nic.NIC
 	var ids []packet.NodeID
@@ -119,7 +131,7 @@ func TestQCNControlsSingleSwitchIncast(t *testing.T) {
 	if cp.FeedbackSent == 0 {
 		t.Fatal("QCN CP never sent feedback under 2:1 incast")
 	}
-	r1 := f1.Controller().(*qcn.RP)
+	r1 := cc.Unwrap(f1.Controller()).(*qcn.RP)
 	if r1.Feedbacks == 0 {
 		t.Fatal("QCN RP never received feedback")
 	}
@@ -139,10 +151,10 @@ func TestQCNControlsSingleSwitchIncast(t *testing.T) {
 }
 
 func TestFactoryProducesIndependentRPs(t *testing.T) {
-	f := qcn.Factory(qcn.LineRateParams(40 * simtime.Gbps))
+	f := qcnSelection(t).Factory()
 	clock := &simtest.Clock{}
 	a, b := f(clock), f(clock)
-	a.(*qcn.RP).OnQCNFeedback(63)
+	cc.Unwrap(a).(*qcn.RP).OnQCNFeedback(63)
 	if b.Rate() != 40*simtime.Gbps {
 		t.Fatal("controllers share state")
 	}

@@ -5,7 +5,9 @@
 // delay-based alternative developed concurrently at Google.
 //
 // TIMELY is rate-based like DCQCN, so it plugs into the same NIC pacing
-// machinery (rocev2.RateController + cc.RTTReactor). Per RTT sample:
+// machinery as the cc registry's "timely" algorithm
+// (rocev2.RateController + cc.RTTReactor + the rate listener). Per RTT
+// sample:
 //
 //   - compute the RTT gradient, smoothed by EWMA and normalized by the
 //     minimum RTT;
@@ -134,13 +136,6 @@ func NewWithClock(params Params, clock core.Clock) *Controller {
 	c := New(params)
 	c.clock = clock
 	return c
-}
-
-// Factory returns a nic.Config-compatible controller factory.
-func Factory(params Params) func(core.Clock) rocev2.RateController {
-	return func(clock core.Clock) rocev2.RateController {
-		return NewWithClock(params, clock)
-	}
 }
 
 // Rate returns the current paced rate.

@@ -3,6 +3,7 @@ package timely_test
 import (
 	"testing"
 
+	"dcqcn/internal/cc"
 	"dcqcn/internal/engine"
 	"dcqcn/internal/fabric"
 	"dcqcn/internal/link"
@@ -123,10 +124,14 @@ func TestEndToEndIncast(t *testing.T) {
 	swCfg.Marking.KMax = 1 << 40
 	const degree = 4
 	sw := fabric.New(sim, 1000, "sw", degree+1, swCfg)
+	sel, err := cc.Select("timely", 40*simtime.Gbps)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nicCfg := nic.DefaultConfig()
 	nicCfg.NPEnabled = false
 	nicCfg.Transport.AckEvery = 4 // denser RTT samples
-	nicCfg.Controller = timely.Factory(timely.DefaultParams())
+	nicCfg.Controller = sel.Factory()
 	var nics []*nic.NIC
 	for i := 0; i <= degree; i++ {
 		h := nic.New(sim, packet.NodeID(i+1), "h", nicCfg)
@@ -149,7 +154,7 @@ func TestEndToEndIncast(t *testing.T) {
 		if f.CurrentRate() >= 39*simtime.Gbps {
 			t.Errorf("flow %d still at ~line rate: %v", i, f.CurrentRate())
 		}
-		ctrl := f.Controller().(*timely.Controller)
+		ctrl := cc.Unwrap(f.Controller()).(*timely.Controller)
 		if ctrl.Stats.Samples == 0 || ctrl.Stats.Decreases == 0 {
 			t.Errorf("flow %d: no RTT-driven control (%+v)", i, ctrl.Stats)
 		}

@@ -64,14 +64,15 @@ func DefaultOptions() Options {
 	}
 }
 
-// ApplyCC configures opts for the selected congestion-control algorithm:
-// the NIC controller factory, the fabric-side sampler attachment (via
-// Options.CC), and the signal plumbing the algorithm's capability set
-// implies — CNP generation is switched off when the controller does not
-// consume CNPs, ACKs are densified for delay-based controllers, and,
-// when adjustMarking is set, ECN marking is disabled for algorithms that
-// consume neither CNPs nor ACK echoes (delay- and hint-based ones),
-// mirroring how the per-algorithm baselines configure their rigs.
+// ApplyCC configures opts for the selected congestion-control algorithm.
+// It is the one place an algorithm's capability set becomes NIC and
+// switch settings: the NIC controller factory, the fabric-side sampler
+// attachment (via Options.CC), and the signal plumbing — CNP generation
+// is switched off when the controller does not consume CNPs, ACKs are
+// densified for delay-based controllers, and, when adjustMarking is set,
+// ECN marking is disabled for algorithms that consume neither CNPs nor
+// ACK echoes (fixed-rate, delay- and hint-based ones). The PFC-only
+// baseline is the fixed algorithm applied here.
 func ApplyCC(opts *Options, sel cc.Selection, adjustMarking bool) {
 	opts.NIC.Controller = sel.Factory()
 	opts.CC = &sel
@@ -83,7 +84,7 @@ func ApplyCC(opts *Options, sel cc.Selection, adjustMarking bool) {
 		opts.NIC.Transport.AckEvery = 4 // denser RTT samples
 	}
 	if adjustMarking && caps&(cc.CapCNP|cc.CapAckECN) == 0 {
-		opts.Switch.Marking.KMin = 1 << 40 // ECN unused: delay/hint only
+		opts.Switch.Marking.KMin = 1 << 40 // ECN unused: fixed, delay or hint only
 		opts.Switch.Marking.KMax = 1 << 40
 	}
 }

@@ -30,7 +30,7 @@ func DefaultOptions() Options {
 
 // WithDCQCN replaces the DCQCN parameter set used by NICs and switches.
 func (o Options) WithDCQCN(params Params) Options {
-	o.inner.NIC.Controller = nic.DCQCNFactory(params)
+	topology.ApplyCC(&o.inner, cc.DCQCN(params), true)
 	o.inner.NIC.NP = params
 	o.inner.Switch.Marking = params
 	return o
@@ -38,12 +38,11 @@ func (o Options) WithDCQCN(params Params) Options {
 
 // WithPFCOnly disables congestion control entirely: uncontrolled
 // line-rate senders over a lossless PFC fabric (the paper's "No DCQCN"
-// baseline, which exhibits the Fig. 3/4 pathologies).
+// baseline, which exhibits the Fig. 3/4 pathologies). It is the "fixed"
+// algorithm of the cc registry, which consumes no signal, so CNP
+// generation and ECN marking are switched off.
 func (o Options) WithPFCOnly() Options {
-	o.inner.NIC.Controller = nic.FixedRateFactory(o.inner.NIC.LineRate)
-	o.inner.NIC.NPEnabled = false
-	o.inner.Switch.Marking.KMin = 1 << 40
-	o.inner.Switch.Marking.KMax = 1 << 40
+	topology.ApplyCC(&o.inner, cc.Fixed(o.inner.NIC.LineRate), true)
 	return o
 }
 
