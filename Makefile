@@ -22,12 +22,15 @@ fmt:
 vet:
 	$(GO) vet $(PKGS)
 
-# Contract static analysis (internal/lint), 11 analyzers. Determinism
+# Contract static analysis (internal/lint), 10 analyzers. Determinism
 # family: walltime, globalrand, maporder, floateq, simtime. Physics
 # family: noconc, eventpast, acctfield. Hot-path family: hotchain (no
 # per-event hook chaining in //hot:path functions). Interprocedural
-# contracts family: ccability, hookpassive over one shared call-graph
-# summary (internal/lint/callgraph). Suppressions live in lint.json.
+# family: hookpassive. All of them share one call-graph summary
+# (internal/lint/callgraph). A finding is waived in the source, on its
+# line or the line above, with `//lint:allow <analyzer> <reason>`; a
+# waiver without a reason, for an unknown analyzer, or silencing
+# nothing is itself a finding.
 # The second step is the allocation contract's compiler half: it diffs
 # the compiler's escape decisions inside every //hot:path function of
 # the library packages against escape.golden.

@@ -1,7 +1,7 @@
 // Adapters registering the pre-framework controllers — DCQCN (core.RP),
 // the fixed-rate PFC-only baseline, QCN and TIMELY — under the cc
-// interface. Each adapter is a thin capability-and-listener shell over
-// the unchanged state machine; Unwrap exposes the inner controller to
+// interface. Each adapter is a thin listener shell over the unchanged
+// state machine; Unwrap exposes the inner controller to
 // inspection surfaces.
 
 package cc
@@ -22,8 +22,6 @@ import (
 // own OnRateChange hook, so the wiring is identical to the pre-framework
 // NIC fast path — a requirement for golden-digest stability.
 type dcqcnController struct{ *core.RP }
-
-func (c dcqcnController) Capabilities() Capability { return CapCNP | CapBytesSent }
 
 func (c dcqcnController) SetRateListener(fn func(simtime.Rate)) { c.RP.OnRateChange = fn }
 
@@ -56,8 +54,6 @@ func (p *FixedParams) Validate() error {
 }
 
 type fixedController struct{ rocev2.FixedRate }
-
-func (c fixedController) Capabilities() Capability { return 0 }
 
 func (c fixedController) SetRateListener(func(simtime.Rate)) {}
 
@@ -98,8 +94,6 @@ func (p *QCNParams) Validate() error {
 
 type qcnController struct{ *qcn.RP }
 
-func (c qcnController) Capabilities() Capability { return CapQCN | CapBytesSent }
-
 func (c qcnController) SetRateListener(fn func(simtime.Rate)) { c.RP.RP.OnRateChange = fn }
 
 func (c qcnController) Unwrap() rocev2.RateController { return c.RP }
@@ -127,11 +121,8 @@ func qcnSampler(p Params, ctx FabricContext) SamplerFunc {
 // --- TIMELY ---
 
 // timelyController adapts timely.Controller, which already implements
-// the RTT reactor and the rate listener; only capability discovery and
-// Unwrap are added here.
+// the RTT reactor and the rate listener; only Unwrap is added here.
 type timelyController struct{ *timely.Controller }
-
-func (c timelyController) Capabilities() Capability { return CapRTT }
 
 func (c timelyController) Unwrap() rocev2.RateController { return c.Controller }
 

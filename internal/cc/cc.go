@@ -8,15 +8,17 @@
 // one selection surface, so `dcqcn-sweep -cc=...` can run the same
 // scenarios head-to-head per algorithm.
 //
-// # Signals and capability discovery
+// # Signals and capabilities
 //
 // Controllers receive signals (CNPs, per-ACK ECN-echo fractions, RTT
 // samples, bytes sent, switch occupancy hints) and act by moving the
-// flow's rate. Each controller declares the signals it consumes via
-// Capabilities(); the NIC discovers them once per flow at OpenFlow and
-// stores typed reactor references, so the per-packet receive path pays a
-// nil check — not an interface type assertion — for every signal the
-// controller does not use.
+// flow's rate. An algorithm states the signals it consumes once, in
+// Algorithm.Caps; topology.ApplyCC reads it to configure the fabric
+// (NP on/off, ECN marking, ACK density) before any controller exists.
+// The NIC subscribes each flow to the reactor interfaces its controller
+// implements, resolved once at OpenFlow into typed references, so the
+// per-packet receive path pays a nil check — not an interface type
+// assertion — for every signal the controller does not use.
 //
 // # Fabric-side hooks
 //
@@ -39,9 +41,8 @@ import (
 	"dcqcn/internal/simtime"
 )
 
-// Capability is the bitmask of congestion signals a controller consumes.
-// The NIC subscribes a flow's controller only to the signals it declares,
-// so unconsumed signals cost nothing on the hot receive path.
+// Capability is the bitmask of congestion signals an algorithm consumes
+// (Algorithm.Caps), which configures the fabric that produces them.
 type Capability uint32
 
 // Capability bits.
@@ -82,17 +83,12 @@ func (c Capability) String() string {
 }
 
 // Controller is the congestion-control interface of the framework: the
-// rate-based action surface of rocev2.RateController plus capability
-// discovery and an eager rate-change listener. Controllers additionally
-// implement the reactor interfaces matching their declared capabilities
-// (OnRTT for CapRTT, OnAck for CapAckECN, OnQCNFeedback for CapQCN,
-// OnSwitchHint for CapHint).
+// rate-based action surface of rocev2.RateController plus an eager
+// rate-change listener. Controllers additionally implement the reactor
+// interfaces matching their algorithm's Caps (OnRTT for CapRTT, OnAck
+// for CapAckECN, OnQCNFeedback for CapQCN, OnSwitchHint for CapHint).
 type Controller interface {
 	rocev2.RateController
-
-	// Capabilities returns the set of signals this instance consumes. It
-	// is called once per flow, at OpenFlow time.
-	Capabilities() Capability
 
 	// SetRateListener registers the NIC's pacing re-arm hook, invoked
 	// after every rate change so cuts take effect immediately rather than
@@ -206,9 +202,10 @@ type Algorithm struct {
 	// of Defaults, possibly refined; clock is the flow's simulation
 	// clock.
 	New func(p Params, clock core.Clock) Controller
-	// Caps reports the signal set controllers built from p will consume;
-	// the experiment layer uses it to configure the fabric (NP on/off,
-	// marking, ACK density, samplers) before any controller exists.
+	// Caps reports the signal set controllers built from p will consume,
+	// the only statement of it: topology.ApplyCC uses it to configure
+	// the fabric (NP on/off, marking, ACK density) before any controller
+	// exists.
 	Caps func(p Params) Capability
 	// Sampler, if non-nil, constructs the fabric-side congestion point
 	// attached to every switch (QCN, switch-assist). Nil for end-to-end

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -40,9 +41,10 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 // TestRegistryDefaults exercises every algorithm through the whole
-// selection surface: defaults validate, a controller constructs, its
-// Capabilities agree with the registry's Caps, and the declared
-// capabilities are backed by the matching reactor interfaces.
+// selection surface: defaults validate, a controller constructs, and
+// the reactor interfaces it implements match its algorithm's Caps in
+// both directions — the NIC subscribes a flow to exactly the reactors
+// its controller implements, while Caps configures the fabric.
 func TestRegistryDefaults(t *testing.T) {
 	for _, name := range Names() {
 		name := name
@@ -60,24 +62,32 @@ func TestRegistryDefaults(t *testing.T) {
 				t.Fatal("New returned nil")
 			}
 			defer ctrl.Stop()
-			if got := ctrl.Capabilities(); got != caps {
-				t.Errorf("controller Capabilities() = %v, registry Caps = %v", got, caps)
-			}
-			// Every declared capability must be backed by the matching
-			// reactor interface — the NIC's unchecked assertions depend on
-			// it. (The converse may not hold: policy implements every
-			// reactor but declares only what its table references.)
-			if _, ok := ctrl.(AckReactor); caps&CapAckECN != 0 && !ok {
-				t.Error("declares CapAckECN without implementing AckReactor")
-			}
-			if _, ok := ctrl.(RTTReactor); caps&CapRTT != 0 && !ok {
-				t.Error("declares CapRTT without implementing RTTReactor")
-			}
-			if _, ok := ctrl.(QCNReactor); caps&CapQCN != 0 && !ok {
-				t.Error("declares CapQCN without implementing QCNReactor")
-			}
-			if _, ok := ctrl.(HintReactor); caps&CapHint != 0 && !ok {
-				t.Error("declares CapHint without implementing HintReactor")
+			// A declared signal without its reactor would never reach the
+			// controller. An implemented reactor whose signal Caps omits
+			// would receive signals the fabric was not configured for;
+			// policy alone is exempt, since it implements every reactor its
+			// table may name and Caps lists what the loaded table does.
+			_, ack := ctrl.(AckReactor)
+			_, rtt := ctrl.(RTTReactor)
+			_, qcn := ctrl.(QCNReactor)
+			_, hint := ctrl.(HintReactor)
+			for _, r := range []struct {
+				bit         Capability
+				implemented bool
+				iface       string
+			}{
+				{CapAckECN, ack, "AckReactor"},
+				{CapRTT, rtt, "RTTReactor"},
+				{CapQCN, qcn, "QCNReactor"},
+				{CapHint, hint, "HintReactor"},
+			} {
+				declared := caps&r.bit != 0
+				switch {
+				case declared && !r.implemented:
+					t.Errorf("Caps declares %v without implementing %s", r.bit, r.iface)
+				case r.implemented && !declared && name != "policy":
+					t.Errorf("implements %s but Caps omits %v", r.iface, r.bit)
+				}
 			}
 			if ctrl.Rate() <= 0 {
 				t.Errorf("initial rate %v, want positive", ctrl.Rate())
@@ -161,5 +171,36 @@ func TestApplyParamsJSON(t *testing.T) {
 	}
 	if err := sel.ApplyParamsJSON([]byte(`{"G": -1}`)); err == nil {
 		t.Error("invalid overlay accepted")
+	}
+}
+
+// TestParamsJSONTags requires an explicit json tag on every exported
+// field of every registered algorithm's parameter struct, through nested
+// structs, slices and pointers: ApplyParamsJSON (-cc-params) needs a
+// stable overlay name for each knob.
+func TestParamsJSONTags(t *testing.T) {
+	var check func(name string, typ reflect.Type, seen map[reflect.Type]bool)
+	check = func(name string, typ reflect.Type, seen map[reflect.Type]bool) {
+		for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice || typ.Kind() == reflect.Array {
+			typ = typ.Elem()
+		}
+		if typ.Kind() != reflect.Struct || seen[typ] {
+			return
+		}
+		seen[typ] = true
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue // json cannot reach it; overlays cannot either
+			}
+			if _, ok := f.Tag.Lookup("json"); !ok {
+				t.Errorf("%s: %s.%s has no json tag", name, typ.Name(), f.Name)
+			}
+			check(name, f.Type, seen)
+		}
+	}
+	for _, name := range Names() {
+		a, _ := Lookup(name)
+		check(name, reflect.TypeOf(a.Defaults(testLineRate)), map[reflect.Type]bool{})
 	}
 }

@@ -158,7 +158,8 @@ func TestSwitchAssistSampler(t *testing.T) {
 
 // TestPolicyTable pins rule matching: first match wins, Hi <= Lo means
 // unbounded above, rates clamp to [MinRate, LineRate], and unmatched
-// signals do nothing.
+// signals do nothing — including a signal the table never names, which
+// the NIC still delivers because Policy implements its reactor.
 func TestPolicyTable(t *testing.T) {
 	p := PolicyParams{
 		Rules: []PolicyRule{
@@ -169,10 +170,10 @@ func TestPolicyTable(t *testing.T) {
 		MinRate:  10 * simtime.Mbps,
 		LineRate: testLineRate,
 	}
-	c := NewPolicy(p)
-	if got, want := c.Capabilities(), CapAckECN|CapRTT; got != want {
+	if got, want := p.caps(), CapAckECN|CapRTT; got != want {
 		t.Fatalf("derived capabilities %v, want %v", got, want)
 	}
+	c := NewPolicy(p)
 
 	// Additive rule at line rate clamps (no change).
 	c.OnAck(AckSample{Packets: 10, Marked: 0})
@@ -200,6 +201,11 @@ func TestPolicyTable(t *testing.T) {
 	if c.Applied != before {
 		t.Fatal("empty AckSample applied a rule")
 	}
+	// A switch hint: no rule names the signal, so nothing moves.
+	c.OnSwitchHint(SwitchHint{QueueBytes: 1 << 20})
+	if c.Rate() != 1*simtime.Gbps || c.Applied != before {
+		t.Fatalf("switch hint moved rate to %v (applied %d -> %d), want unchanged", c.Rate(), before, c.Applied)
+	}
 	// Repeated halving clamps at MinRate.
 	for i := 0; i < 100; i++ {
 		c.OnAck(AckSample{Packets: 10, Marked: 10})
@@ -210,8 +216,8 @@ func TestPolicyTable(t *testing.T) {
 }
 
 // TestPolicyDefaultCaps pins that the default table derives exactly
-// CapAckECN — capability discovery doing real work: a policy that never
-// references CNPs must not subscribe to them.
+// CapAckECN: a policy that never references CNPs runs with the receiver
+// NP off (topology.ApplyCC).
 func TestPolicyDefaultCaps(t *testing.T) {
 	sel, err := Select("policy", testLineRate)
 	if err != nil {

@@ -93,9 +93,6 @@ func (c *DCTCPRate) OnBytesSent(int64) {}
 // Stop is a no-op (no timers).
 func (c *DCTCPRate) Stop() {}
 
-// Capabilities declares the ECN-echo subscription.
-func (c *DCTCPRate) Capabilities() Capability { return CapAckECN }
-
 // SetRateListener registers the NIC's pacing re-arm hook.
 func (c *DCTCPRate) SetRateListener(fn func(simtime.Rate)) { c.onRate = fn }
 

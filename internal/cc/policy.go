@@ -5,9 +5,8 @@
 // the NIC per congestion event. Here the table is hand-written or
 // JSON-loaded (-cc-params '{"rules": [...]}'); what the framework
 // contributes is the event plumbing: each rule names a signal, and the
-// controller's capability set is *derived from the table*, so a
-// CNP-free policy never subscribes to CNPs — capability discovery doing
-// real work.
+// algorithm's capability set is *derived from the table*, so a CNP-free
+// policy runs with the NIC's CNP generator off.
 
 package cc
 
@@ -118,7 +117,6 @@ func (p *PolicyParams) caps() Capability {
 // Policy is the table-driven controller for one flow.
 type Policy struct {
 	p      PolicyParams
-	caps   Capability
 	rate   simtime.Rate
 	onRate func(simtime.Rate)
 
@@ -131,7 +129,7 @@ func NewPolicy(p PolicyParams) *Policy {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return &Policy{p: p, caps: p.caps(), rate: p.LineRate}
+	return &Policy{p: p, rate: p.LineRate}
 }
 
 // Rate returns the current paced rate.
@@ -143,18 +141,12 @@ func (c *Policy) OnBytesSent(int64) {}
 // Stop is a no-op (no timers).
 func (c *Policy) Stop() {}
 
-// Capabilities is derived from the rule table at construction: only
-// the signals the loaded rules actually reference are declared, so the
-// NIC skips dispatch work for unused ones.
-//
-//cg:allow caps is computed by NewPolicy from the rule table, and PolicyParams.Validate rejects rules naming any signal outside the set (cnp, ecn_fraction, rtt_us, hint_queue_kb) whose reactors Policy implements, so a declared bit always has its reactor
-func (c *Policy) Capabilities() Capability { return c.caps }
-
 // SetRateListener registers the NIC's pacing re-arm hook.
 func (c *Policy) SetRateListener(fn func(simtime.Rate)) { c.onRate = fn }
 
 // react looks up (signal, value) in the table and applies the first
-// matching rule.
+// matching rule. The NIC delivers every signal Policy has a reactor for;
+// a signal no rule names matches nothing and changes nothing.
 //
 //hot:path per-signal table lookup
 func (c *Policy) react(signal string, v float64) {

@@ -82,10 +82,6 @@ func NewSwitchAssist(p SwitchAssistParams, clock core.Clock) *SwitchAssist {
 // OnCNP is a no-op: fabric hints replace end-to-end CNPs.
 func (c *SwitchAssist) OnCNP() {}
 
-// Capabilities declares the hint subscription plus the byte accounting
-// the RP's byte-counter increase stage needs.
-func (c *SwitchAssist) Capabilities() Capability { return CapHint | CapBytesSent }
-
 // SetRateListener maps onto the RP's OnRateChange hook.
 func (c *SwitchAssist) SetRateListener(fn func(simtime.Rate)) { c.RP.OnRateChange = fn }
 

@@ -1,9 +1,7 @@
 package lint
 
 import (
-	"go/ast"
 	"go/types"
-	"strings"
 
 	"dcqcn/internal/lint/analysis"
 )
@@ -15,9 +13,10 @@ import (
 // from outside the owning type's methods would let some other layer
 // "fix up" the books and mask a real leak. The analyzer allows writes
 // only inside methods declared on the owning named type (closures
-// within such methods count as the method). The check is per-package:
-// //acct: tags are comments, which export data does not carry, so a
-// tagged field must stay unexported to be fully protected.
+// within such methods count as the method). It judges the //acct:
+// writes the call graph records (callgraph.AcctWrite). The check is
+// per-package: //acct: tags are comments, which export data does not
+// carry, so a tagged field must stay unexported to be fully protected.
 var Acctfield = &analysis.Analyzer{
 	Name: "acctfield",
 	Doc: "accounting fields tagged //acct: may only be written inside their owning type's methods; " +
@@ -25,164 +24,39 @@ var Acctfield = &analysis.Analyzer{
 	Run: runAcctfield,
 }
 
-// acctTag marks an accounting field. The text after the colon states
-// what the field counts, e.g. `//acct: bytes admitted to shared buffer`.
-const acctTag = "//acct:"
-
 func runAcctfield(pass *analysis.Pass) error {
-	tagged := acctTaggedFields(pass)
-	if len(tagged) == 0 {
-		return nil
-	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			recv := receiverTypeName(pass.TypesInfo, fd)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range x.Lhs {
-						checkAcctWrite(pass, tagged, recv, lhs)
-					}
-				case *ast.IncDecStmt:
-					checkAcctWrite(pass, tagged, recv, x.X)
-				}
-				return true
-			})
+	for _, w := range pass.Graph.AcctWrites() {
+		if w.Field.Pkg() != pass.Pkg {
+			continue
 		}
+		var recv *types.TypeName
+		if m := w.Writer.Outer(); m != nil {
+			if r := m.Type().(*types.Signature).Recv(); r != nil {
+				recv = namedOf(r.Type())
+			}
+		}
+		if recv == w.Owner {
+			continue
+		}
+		where := "a plain function"
+		if recv != nil {
+			where = "a method of " + recv.Name()
+		}
+		pass.Reportf(w.Pos,
+			"write to accounting field %s.%s from %s: //acct: fields may only be written by %s's own methods",
+			w.Owner.Name(), w.Field.Name(), where, w.Owner.Name())
 	}
 	return nil
 }
 
-// acctTaggedFields maps every //acct:-tagged struct field declared in
-// this package to the named type that owns it.
-func acctTaggedFields(pass *analysis.Pass) map[*types.Var]*types.TypeName {
-	tagged := make(map[*types.Var]*types.TypeName)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				owner, ok := pass.TypesInfo.Defs[ts.Name].(*types.TypeName)
-				if !ok {
-					continue
-				}
-				for _, field := range st.Fields.List {
-					if !hasAcctTag(field) {
-						continue
-					}
-					for _, name := range field.Names {
-						if v, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
-							tagged[v] = owner
-						}
-					}
-				}
-			}
-		}
+// namedOf resolves a receiver type, through one pointer, to its named
+// type's declaration.
+func namedOf(t types.Type) *types.TypeName {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
 	}
-	return tagged
-}
-
-// hasAcctTag reports whether the field's doc or trailing comment
-// carries the //acct: marker.
-func hasAcctTag(field *ast.Field) bool {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			if strings.HasPrefix(c.Text, acctTag) {
-				return true
-			}
-		}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj()
 	}
-	return false
-}
-
-// receiverTypeName resolves a method declaration's receiver to its
-// *types.TypeName, or nil for plain functions.
-func receiverTypeName(info *types.Info, fd *ast.FuncDecl) *types.TypeName {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return nil
-	}
-	t := fd.Recv.List[0].Type
-	for {
-		switch x := t.(type) {
-		case *ast.StarExpr:
-			t = x.X
-			continue
-		case *ast.ParenExpr:
-			t = x.X
-			continue
-		}
-		break
-	}
-	id, ok := t.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	tn, _ := info.Uses[id].(*types.TypeName)
-	return tn
-}
-
-// checkAcctWrite reports lhs if it assigns to a tagged field while the
-// enclosing declaration is not a method on the field's owning type.
-func checkAcctWrite(pass *analysis.Pass, tagged map[*types.Var]*types.TypeName, recv *types.TypeName, lhs ast.Expr) {
-	// Unwrap indexing/derefs/parens down to the selector (or bare ident)
-	// actually being written: s.ingress[i][p] += n writes field ingress.
-	e := lhs
-	for {
-		switch x := e.(type) {
-		case *ast.IndexExpr:
-			e = x.X
-			continue
-		case *ast.StarExpr:
-			e = x.X
-			continue
-		case *ast.ParenExpr:
-			e = x.X
-			continue
-		}
-		break
-	}
-	var fieldIdent *ast.Ident
-	switch x := e.(type) {
-	case *ast.SelectorExpr:
-		fieldIdent = x.Sel
-	case *ast.Ident:
-		fieldIdent = x // field via implicit receiver cannot occur in Go, but a bare ident never resolves to a field var anyway
-	default:
-		return
-	}
-	v, ok := pass.TypesInfo.Uses[fieldIdent].(*types.Var)
-	if !ok || !v.IsField() {
-		return
-	}
-	owner, ok := tagged[v]
-	if !ok {
-		return
-	}
-	if recv == owner {
-		return
-	}
-	where := "a plain function"
-	if recv != nil {
-		where = "a method of " + recv.Name()
-	}
-	pass.Reportf(lhs.Pos(),
-		"write to accounting field %s.%s from %s: //acct: fields may only be written by %s's own methods",
-		owner.Name(), v.Name(), where, owner.Name())
+	return nil
 }

@@ -1,10 +1,10 @@
-// Package analysis is a minimal, dependency-free analogue of
+// Package analysis is a minimal, stdlib-only analogue of
 // golang.org/x/tools/go/analysis: just enough structure (Analyzer, Pass,
 // Diagnostic) to write single-package static checks against go/ast and
-// go/types. The container this repository builds in has no module proxy
-// access, so vendoring x/tools is not an option; the determinism-contract
-// analyzers only need the single-pass subset reimplemented here (no
-// facts, no cross-analyzer requires, no suggested fixes).
+// go/types. The module has no third-party dependencies, so x/tools is
+// not vendored; the contract analyzers only need the single-pass subset
+// reimplemented here (no facts, no cross-analyzer requires, no
+// suggested fixes), plus the shared call graph every pass carries.
 package analysis
 
 import (
@@ -12,11 +12,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+
+	"dcqcn/internal/lint/callgraph"
 )
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, suppression config
+	// Name identifies the analyzer in diagnostics, //lint:allow waivers
 	// and test expectations. Lower-case, no spaces.
 	Name string
 	// Doc is a one-paragraph description of what the analyzer enforces.
@@ -40,13 +42,9 @@ type Pass struct {
 	TypesInfo *types.Info
 	Report    func(Diagnostic)
 
-	// Graph optionally carries the interprocedural call-graph summary
-	// the driver built over every package in the run (a
-	// *callgraph.Graph; typed any to keep this package's x/tools-shaped
-	// surface dependency-free). Analyzers that consult summaries
-	// type-assert it; nil means the driver ran intraprocedural-only and
-	// the analyzer builds a single-package graph itself.
-	Graph any
+	// Graph is the interprocedural call-graph summary the driver built
+	// over every package in the run.
+	Graph *callgraph.Graph
 }
 
 // Reportf reports a formatted diagnostic at pos.

@@ -1,12 +1,14 @@
-// Package analysistest runs an analyzer over fixture packages and
-// checks its diagnostics against expectations written in the fixtures
-// themselves, in the style of golang.org/x/tools/go/analysis/analysistest:
+// Package analysistest runs an analyzer over fixture packages through
+// the lint driver (lint.Run, so fixtures see //lint:allow waivers exactly
+// as `make lint` does) and checks its findings against expectations
+// written in the fixtures themselves, in the style of
+// golang.org/x/tools/go/analysis/analysistest:
 //
 //	time.Now() // want `wall-clock time\.Now`
 //
 // A `// want` comment holds one or more double-quoted regular
-// expressions; each must match a diagnostic reported on that line, and
-// every diagnostic must be matched by some expectation. Fixtures live
+// expressions; each must match a finding reported on that line, and
+// every finding must be matched by some expectation. Fixtures live
 // under testdata/src/<name> relative to the calling test's package and
 // must be valid, compilable Go (testdata is invisible to ./... patterns
 // but loads fine by explicit path).
@@ -21,14 +23,14 @@ import (
 	"strings"
 	"testing"
 
+	"dcqcn/internal/lint"
 	"dcqcn/internal/lint/analysis"
-	"dcqcn/internal/lint/callgraph"
 	"dcqcn/internal/lint/load"
 )
 
-// Run loads each fixture package (a directory under testdata/src) and
-// applies the analyzer, reporting unmatched expectations and unexpected
-// diagnostics through t.
+// Run loads the fixture packages (directories under testdata/src),
+// applies the analyzer to them in one lint.Run, and reports unmatched
+// expectations and unexpected findings through t.
 func Run(t *testing.T, a *analysis.Analyzer, fixtures ...string) {
 	t.Helper()
 	if len(fixtures) == 0 {
@@ -42,63 +44,27 @@ func Run(t *testing.T, a *analysis.Analyzer, fixtures ...string) {
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-	// Mirror the driver: one interprocedural summary graph over the
-	// whole fixture batch, shared by each per-package pass (and cached
-	// across Run calls that load the same batch).
-	units := make([]*callgraph.Unit, len(pkgs))
-	for i, p := range pkgs {
-		units[i] = &callgraph.Unit{Files: p.Files, Pkg: p.Types, Info: p.Info}
-	}
-	var graph any
-	if len(pkgs) > 0 {
-		graph = callgraph.For(callgraph.DefaultConfig(), pkgs[0].Fset, units)
-	}
-	for _, pkg := range pkgs {
-		checkPackage(t, a, pkg, graph)
-	}
-}
-
-// expectation is one `// want` regexp, anchored to a file line.
-type expectation struct {
-	re      *regexp.Regexp
-	raw     string
-	matched bool
-}
-
-func checkPackage(t *testing.T, a *analysis.Analyzer, pkg *load.Package, graph any) {
-	t.Helper()
-	wants, err := collectWants(pkg)
+	findings, err := lint.Run(pkgs, []*analysis.Analyzer{a})
 	if err != nil {
-		t.Fatalf("analysistest: %s: %v", pkg.PkgPath, err)
+		t.Fatalf("analysistest: %v", err)
 	}
-
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.Info,
-		Graph:     graph,
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
+	wants := make(map[lineKey][]*expectation)
+	for _, pkg := range pkgs {
+		if err := collectWants(pkg, wants); err != nil {
+			t.Fatalf("analysistest: %s: %v", pkg.PkgPath, err)
+		}
 	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("analysistest: %s on %s: %v", a.Name, pkg.PkgPath, err)
-	}
-
-	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
-		key := lineKey{pos.Filename, pos.Line}
+	for _, f := range findings {
 		found := false
-		for _, w := range wants[key] {
-			if !w.matched && w.re.MatchString(d.Message) {
+		for _, w := range wants[lineKey{f.Position.Filename, f.Position.Line}] {
+			if !w.matched && w.re.MatchString(f.Message) {
 				w.matched = true
 				found = true
 				break
 			}
 		}
 		if !found {
-			t.Errorf("%s: unexpected diagnostic: %s", pos, d.Message)
+			t.Errorf("%s: unexpected finding: %s", f.Pos, f.Message)
 		}
 	}
 	keys := make([]lineKey, 0, len(wants))
@@ -114,10 +80,17 @@ func checkPackage(t *testing.T, a *analysis.Analyzer, pkg *load.Package, graph a
 	for _, key := range keys {
 		for _, w := range wants[key] {
 			if !w.matched {
-				t.Errorf("%s:%d: expected diagnostic matching %q, got none", key.file, key.line, w.raw)
+				t.Errorf("%s:%d: expected finding matching %q, got none", key.file, key.line, w.raw)
 			}
 		}
 	}
+}
+
+// expectation is one `// want` regexp, anchored to a file line.
+type expectation struct {
+	re      *regexp.Regexp
+	raw     string
+	matched bool
 }
 
 type lineKey struct {
@@ -129,9 +102,9 @@ type lineKey struct {
 // `...` quoting are accepted.
 var wantRE = regexp.MustCompile("\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`")
 
-// collectWants parses `// want` comments out of every fixture file.
-func collectWants(pkg *load.Package) (map[lineKey][]*expectation, error) {
-	wants := make(map[lineKey][]*expectation)
+// collectWants parses `// want` comments out of every file of pkg into
+// wants.
+func collectWants(pkg *load.Package, wants map[lineKey][]*expectation) error {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -142,16 +115,16 @@ func collectWants(pkg *load.Package) (map[lineKey][]*expectation, error) {
 				pos := pkg.Fset.Position(c.Pos())
 				quoted := wantRE.FindAllString(text, -1)
 				if len(quoted) == 0 {
-					return nil, fmt.Errorf("%s: want comment with no quoted pattern", pos)
+					return fmt.Errorf("%s: want comment with no quoted pattern", pos)
 				}
 				for _, q := range quoted {
 					pat, err := unquote(q)
 					if err != nil {
-						return nil, fmt.Errorf("%s: bad pattern %s: %v", pos, q, err)
+						return fmt.Errorf("%s: bad pattern %s: %v", pos, q, err)
 					}
 					re, err := regexp.Compile(pat)
 					if err != nil {
-						return nil, fmt.Errorf("%s: bad regexp %s: %v", pos, q, err)
+						return fmt.Errorf("%s: bad regexp %s: %v", pos, q, err)
 					}
 					key := lineKey{pos.Filename, pos.Line}
 					wants[key] = append(wants[key], &expectation{re: re, raw: pat})
@@ -159,7 +132,7 @@ func collectWants(pkg *load.Package) (map[lineKey][]*expectation, error) {
 			}
 		}
 	}
-	return wants, nil
+	return nil
 }
 
 func unquote(q string) (string, error) {

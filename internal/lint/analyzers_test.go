@@ -8,8 +8,8 @@ import (
 )
 
 // Each analyzer's fixture suite demonstrates at least one caught
-// violation and at least one accepted (clean, allowlisted or
-// suppressed) case; the harness/ and cmd/ fixture packages exercise the
+// violation and at least one accepted (clean, allowlisted or waived)
+// case; the harness/ and cmd/ fixture packages exercise the
 // allowlist boundary by path element.
 
 func TestWalltime(t *testing.T) {
@@ -48,10 +48,6 @@ func TestAcctfield(t *testing.T) {
 
 func TestHotchain(t *testing.T) {
 	analysistest.Run(t, lint.Hotchain, "hotchain/a")
-}
-
-func TestCcability(t *testing.T) {
-	analysistest.Run(t, lint.Ccability, "ccability/cc")
 }
 
 func TestHookpassive(t *testing.T) {

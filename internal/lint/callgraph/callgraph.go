@@ -1,8 +1,9 @@
-// Package callgraph is the interprocedural layer under the fourth
-// analyzer family (DESIGN.md §14): a stdlib-only, CHA-style call graph
-// over the packages one lint invocation loads, with a per-function
-// effect summary propagated to a fixpoint. The eleven intraprocedural
-// analyzers see one package at a time; a violation laundered through a
+// Package callgraph is the interprocedural layer under the contract
+// analyzers (DESIGN.md §14): a stdlib-only, CHA-style call graph over
+// the packages one lint invocation loads, with a per-function effect
+// summary propagated to a fixpoint. The lint driver builds one graph
+// per invocation and hands it to every pass. An analyzer sees one
+// package at a time; a violation laundered through a
 // helper — a model function calling a harness helper that reads
 // time.Now, a hook closure calling a method that schedules an event —
 // escapes all of them. A summary answers "what can calling this
@@ -13,13 +14,15 @@
 //
 // Each function (declared or literal) gets a bitmask of effects:
 // calls-walltime, reads-global-rand, constructs-rand, writes an //acct:
-// accounting field, schedules a simulation event, writes model state,
-// ranges over an unordered map. Direct effects are seeded from the
-// function body (the same primitives the intraprocedural analyzers
-// match, plus a small intrinsic table for engine/eventq/core scheduling
-// entry points, matched by package name so fixtures mimic them the way
-// the globalrand fixture mimics the engine package); summaries are the
-// union of direct effects and callee summaries, iterated to a fixpoint.
+// accounting field, schedules a simulation event, writes model state.
+// Direct effects are seeded from the function body (the same
+// primitives the intraprocedural analyzers match, plus a small
+// intrinsic table for engine/eventq/core scheduling entry points,
+// matched by package name so fixtures mimic them the way the globalrand
+// fixture mimics the engine package); summaries are the union of direct
+// effects and callee summaries, iterated to a fixpoint. Every write to
+// an //acct: field is also kept as a record (AcctWrite), which the
+// acctfield analyzer judges.
 //
 // # Resolution
 //
@@ -48,16 +51,15 @@
 // writes to freshly allocated objects (the constructor idiom), and
 // calls through function-valued variables contribute nothing. Both are
 // documented false-negative classes, not accidents.
-//
-// Everything here is single-threaded, like the lint driver that owns
-// it; the package-level summary cache (For) is deliberately unlocked.
 package callgraph
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path"
 	"path/filepath"
+	"strconv"
 	"strings"
 )
 
@@ -79,11 +81,8 @@ const (
 	// eventq pushes, core.Clock.After timers).
 	SchedulesEvent
 	// WritesModelState: writes a field or package-level variable owned
-	// by a model package (per Config.IsModelPackage).
+	// by a model package (see modelOwned).
 	WritesModelState
-	// RangesUnorderedMap: ranges over a map without a //lint:ordered
-	// annotation.
-	RangesUnorderedMap
 )
 
 // effectNames orders the bits for String and Each.
@@ -98,7 +97,6 @@ var effectNames = []struct {
 	{WritesAcctField, "writes-acct-field", "writes an //acct: accounting field"},
 	{SchedulesEvent, "schedules-event", "schedules a simulation event"},
 	{WritesModelState, "writes-model-state", "mutates model state"},
-	{RangesUnorderedMap, "ranges-unordered-map", "ranges over an unordered map"},
 }
 
 // String renders the effect set, e.g. "calls-walltime+schedules-event".
@@ -143,16 +141,6 @@ type Unit struct {
 	Info  *types.Info
 }
 
-// Config parameterizes effect classification.
-type Config struct {
-	// IsModelPackage reports whether state owned by the package at this
-	// import path counts as model state for WritesModelState. The lint
-	// driver excludes cmd/harness (outside the model) and the passive
-	// observer packages (flightrec, invariant, trace, hooks), whose own
-	// state hooks are supposed to write.
-	IsModelPackage func(pkgPath string) bool
-}
-
 // observerPackages are the passive instrumentation layers whose own
 // state is exactly what hooks are supposed to write: the flight
 // recorder, the invariant auditor, tracing, statistics and the hook
@@ -166,32 +154,28 @@ var observerPackages = map[string]bool{
 	"hooks":     true,
 }
 
-// DefaultConfig is the model-state classification the lint driver and
-// analysistest share: model state is everything except the packages
-// exempt from model rules (any path element "cmd" or "harness" —
-// lint.ExemptFromModelRules's rule) and the passive observer packages.
-func DefaultConfig() Config {
-	return Config{
-		IsModelPackage: func(pkgPath string) bool {
-			els := strings.Split(pkgPath, "/")
-			for _, el := range els {
-				if el == "cmd" || el == "harness" {
-					return false
-				}
-			}
-			return !observerPackages[els[len(els)-1]]
-		},
+// ExemptFromModelRules reports whether the package at pkgPath lies
+// outside the simulation model: any path element "cmd" (command-line
+// mains) or "harness" (the sweep harness). Its state is not model
+// state, and the lint package exempts it from the model rules.
+func ExemptFromModelRules(pkgPath string) bool {
+	for _, el := range strings.Split(pkgPath, "/") {
+		if el == "cmd" || el == "harness" {
+			return true
+		}
 	}
+	return false
 }
 
 // Node is one function in the graph: a declared function/method or a
 // function literal.
 type Node struct {
-	obj  *types.Func  // non-nil for declared functions
-	lit  *ast.FuncLit // non-nil for literals
-	unit *Unit
-	decl ast.Node // *ast.FuncDecl or *ast.FuncLit
-	body *ast.BlockStmt
+	obj   *types.Func  // non-nil for declared functions
+	lit   *ast.FuncLit // non-nil for literals
+	outer *types.Func  // obj, or the declared function a literal sits in
+	unit  *Unit
+	decl  ast.Node // *ast.FuncDecl or *ast.FuncLit
+	body  *ast.BlockStmt
 
 	direct, summary Effect
 	edges           []edge
@@ -217,6 +201,14 @@ func (n *Node) Effects() Effect { return n.summary }
 // Pos returns the node's declaration position.
 func (n *Node) Pos() token.Pos { return n.decl.Pos() }
 
+// Pkg returns the package the node is declared in.
+func (n *Node) Pkg() *types.Package { return n.unit.Pkg }
+
+// Outer returns the declared function n is, or the one its literal
+// sits in (through any nesting); nil for a literal in a package-level
+// declaration.
+func (n *Node) Outer() *types.Func { return n.outer }
+
 // String names the node for diagnostics: pkg.Func, pkg.Type.Method, or
 // "function literal".
 func (n *Node) String() string {
@@ -238,63 +230,39 @@ func (n *Node) String() string {
 // Graph is the call graph plus effect summaries for one batch of
 // loaded packages.
 type Graph struct {
-	cfg   Config
-	fset  *token.FileSet
-	funcs map[*types.Func]*Node
-	byKey map[string]*Node // stable key fallback: cross-root refs resolve to export-data objects
-	lits  map[*ast.FuncLit]*Node
-	nodes []*Node // deterministic order: unit, file, position
-	named []*types.Named
-	cands map[*types.Interface][]*types.Func // CHA memo: iface -> implementing methods
-	acct  map[*types.Var]bool
-	pkgs  map[*types.Package]bool
+	fset   *token.FileSet
+	funcs  map[*types.Func]*Node
+	byKey  map[string]*Node // stable key fallback: cross-root refs resolve to export-data objects
+	lits   map[*ast.FuncLit]*Node
+	nodes  []*Node // deterministic order: unit, file, position
+	named  []*types.Named
+	cands  map[*types.Interface][]*types.Func // CHA memo: iface -> implementing methods
+	acct   map[*types.Var]*types.TypeName     // //acct: field -> owning type
+	writes []AcctWrite
 }
 
-// cache holds every graph built through For, newest last. The lint
-// driver builds one graph per invocation; analysistest may build one
-// per fixture batch within a test binary. Single-threaded by the same
-// contract as the driver.
-var cache []*Graph
-
-// For returns a cached graph covering every unit, building one if
-// needed. Coverage means each unit's *types.Package was in the batch
-// the graph was built from; a graph built over a superset is reused.
-// The config of the first build wins for a cached graph.
-func For(cfg Config, fset *token.FileSet, units []*Unit) *Graph {
-	for _, g := range cache {
-		if g.fset == fset && g.covers(units) {
-			return g
-		}
-	}
-	g := Build(cfg, fset, units)
-	cache = append(cache, g)
-	return g
-}
-
-func (g *Graph) covers(units []*Unit) bool {
-	for _, u := range units {
-		if !g.pkgs[u.Pkg] {
-			return false
-		}
-	}
-	return true
+// AcctWrite is one write to an //acct:-tagged field. Tags are comments,
+// which export data does not carry, so a write is recorded only within
+// the package that declares the field.
+type AcctWrite struct {
+	Pos    token.Pos
+	Field  *types.Var
+	Owner  *types.TypeName // the struct type declaring Field
+	Writer *Node
 }
 
 // Build constructs the graph and runs effect propagation to a
 // fixpoint.
-func Build(cfg Config, fset *token.FileSet, units []*Unit) *Graph {
+func Build(fset *token.FileSet, units []*Unit) *Graph {
 	g := &Graph{
-		cfg:   cfg,
 		fset:  fset,
 		funcs: make(map[*types.Func]*Node),
 		byKey: make(map[string]*Node),
 		lits:  make(map[*ast.FuncLit]*Node),
 		cands: make(map[*types.Interface][]*types.Func),
-		acct:  make(map[*types.Var]bool),
-		pkgs:  make(map[*types.Package]bool),
+		acct:  make(map[*types.Var]*types.TypeName),
 	}
 	for _, u := range units {
-		g.pkgs[u.Pkg] = true
 		g.collectAcct(u)
 	}
 	g.collectNamed(units)
@@ -309,6 +277,9 @@ func Build(cfg Config, fset *token.FileSet, units []*Unit) *Graph {
 	g.propagate()
 	return g
 }
+
+// AcctWrites returns every recorded //acct: field write, in node order.
+func (g *Graph) AcctWrites() []AcctWrite { return g.writes }
 
 // NodeOf returns the node for a declared function, or nil if its body
 // was not loaded.
@@ -399,28 +370,14 @@ func (g *Graph) Describe(n *Node, e Effect) string {
 // short renders pos as base-filename:line.
 func (g *Graph) short(pos token.Pos) string {
 	p := g.fset.Position(pos)
-	return filepath.Base(p.Filename) + ":" + itoa(p.Line)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return filepath.Base(p.Filename) + ":" + strconv.Itoa(p.Line)
 }
 
 // --- construction ---
 
-// collectAcct gathers //acct:-tagged struct fields (the acctfield
-// analyzer's tag, readable here because roots are parsed with
-// comments).
+// collectAcct gathers //acct:-tagged struct fields with their owning
+// types (the acctfield analyzer's tag, readable here because roots are
+// parsed with comments).
 func (g *Graph) collectAcct(u *Unit) {
 	for _, f := range u.Files {
 		for _, decl := range f.Decls {
@@ -434,7 +391,8 @@ func (g *Graph) collectAcct(u *Unit) {
 					continue
 				}
 				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
+				owner, isType := u.Info.Defs[ts.Name].(*types.TypeName)
+				if !ok || !isType {
 					continue
 				}
 				for _, field := range st.Fields.List {
@@ -443,7 +401,7 @@ func (g *Graph) collectAcct(u *Unit) {
 					}
 					for _, name := range field.Names {
 						if v, ok := u.Info.Defs[name].(*types.Var); ok {
-							g.acct[v] = true
+							g.acct[v] = owner
 						}
 					}
 				}
@@ -509,7 +467,7 @@ func (g *Graph) indexFile(u *Unit, f *ast.File) {
 			if !ok {
 				continue
 			}
-			n := &Node{obj: obj, unit: u, decl: fd, body: fd.Body, witness: map[Effect]*witness{}}
+			n := &Node{obj: obj, outer: obj, unit: u, decl: fd, body: fd.Body, witness: map[Effect]*witness{}}
 			g.funcs[obj] = n
 			g.byKey[funcKey(obj)] = n
 			g.nodes = append(g.nodes, n)
@@ -534,6 +492,7 @@ func (g *Graph) indexLits(u *Unit, root ast.Node, encl *Node) {
 		g.lits[lit] = n
 		g.nodes = append(g.nodes, n)
 		if encl != nil {
+			n.outer = encl.outer
 			encl.edges = append(encl.edges, edge{callee: n, pos: lit.Pos()})
 		}
 		g.indexLits(u, lit.Body, n)
@@ -560,8 +519,6 @@ func (g *Graph) scan(n *Node) {
 			}
 		case *ast.IncDecStmt:
 			g.scanWrite(n, v.X)
-		case *ast.RangeStmt:
-			g.scanRange(n, v)
 		}
 		return true
 	})
@@ -825,16 +782,17 @@ func (g *Graph) scanWrite(n *Node, lhs ast.Expr) {
 			return
 		}
 		if v.IsField() {
-			if g.acct[v] {
+			if owner := g.acct[v]; owner != nil {
 				g.addDirect(n, WritesAcctField, lhs.Pos(), "write to //acct: field "+v.Name())
+				g.writes = append(g.writes, AcctWrite{Pos: lhs.Pos(), Field: v, Owner: owner, Writer: n})
 			}
-			if g.rootEscapes(n, lhs) && g.modelOwned(v.Pkg()) {
+			if g.rootEscapes(n, lhs) && modelOwned(v.Pkg()) {
 				g.addDirect(n, WritesModelState, lhs.Pos(), "write to "+ownerLabel(v)+v.Name())
 			}
 			return
 		}
 		// Package-qualified variable: pkg.Var = x.
-		if pkgQualifier(info, x.X) != nil && g.modelOwned(v.Pkg()) {
+		if pkgQualifier(info, x.X) != nil && modelOwned(v.Pkg()) {
 			g.addDirect(n, WritesModelState, lhs.Pos(), "write to "+ownerLabel(v)+v.Name())
 		}
 	case *ast.Ident:
@@ -856,7 +814,7 @@ func (g *Graph) scanWrite(n *Node, lhs ast.Expr) {
 		}
 		// Package-level variable or a variable captured from an
 		// enclosing function.
-		if g.modelOwned(v.Pkg()) {
+		if modelOwned(v.Pkg()) {
 			g.addDirect(n, WritesModelState, lhs.Pos(), "write to "+ownerLabel(v)+v.Name())
 		}
 	}
@@ -899,8 +857,12 @@ func refLike(t types.Type) bool {
 	return false
 }
 
-func (g *Graph) modelOwned(pkg *types.Package) bool {
-	return pkg != nil && g.cfg.IsModelPackage != nil && g.cfg.IsModelPackage(pkg.Path())
+// modelOwned reports whether state owned by pkg is model state:
+// everything except the packages exempt from model rules and the
+// passive observer packages, whose own state hooks are supposed to
+// write.
+func modelOwned(pkg *types.Package) bool {
+	return pkg != nil && !ExemptFromModelRules(pkg.Path()) && !observerPackages[path.Base(pkg.Path())]
 }
 
 func ownerLabel(v *types.Var) string {
@@ -908,51 +870,6 @@ func ownerLabel(v *types.Var) string {
 		return v.Pkg().Name() + "."
 	}
 	return ""
-}
-
-// scanRange seeds RangesUnorderedMap for map ranges without a
-// //lint:ordered annotation.
-func (g *Graph) scanRange(n *Node, rs *ast.RangeStmt) {
-	tv, ok := n.unit.Info.Types[rs.X]
-	if !ok {
-		return
-	}
-	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-		return
-	}
-	if g.annotated(n, rs, "//lint:ordered") {
-		return
-	}
-	g.addDirect(n, RangesUnorderedMap, rs.Pos(), "range over map")
-}
-
-// annotated reports whether a directive comment covers the node (same
-// line or the line above), mirroring the lint package's annotation
-// rules without importing it.
-func (g *Graph) annotated(n *Node, at ast.Node, directive string) bool {
-	var file *ast.File
-	for _, f := range n.unit.Files {
-		if f.FileStart <= at.Pos() && at.Pos() <= f.FileEnd {
-			file = f
-			break
-		}
-	}
-	if file == nil {
-		return false
-	}
-	line := g.fset.Position(at.Pos()).Line
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, directive) {
-				continue
-			}
-			cl := g.fset.Position(c.Pos()).Line
-			if cl == line || cl == line-1 {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // addDirect sets one direct effect bit with its primitive witness.

@@ -84,7 +84,7 @@ func spawn() func() {
 `
 	fset := token.NewFileSet()
 	u := checkUnit(t, fset, "example.com/model", src)
-	g := Build(DefaultConfig(), fset, []*Unit{u})
+	g := Build(fset, []*Unit{u})
 
 	cases := []struct {
 		fn   string
@@ -130,7 +130,7 @@ import "time"
 
 func Stamp() int64 { return time.Now().UnixNano() }
 `)
-	g := Build(DefaultConfig(), fset, []*Unit{helper})
+	g := Build(fset, []*Unit{helper})
 
 	obj := stale.Pkg.Scope().Lookup("Stamp").(*types.Func)
 	if helper.Pkg.Scope().Lookup("Stamp") == obj {
@@ -142,26 +142,5 @@ func Stamp() int64 { return time.Now().UnixNano() }
 	}
 	if n.Effects()&CallsWalltime == 0 {
 		t.Errorf("Stamp effects = %v, want calls-walltime", n.Effects())
-	}
-}
-
-// TestForCaches pins the invocation-level cache: a graph built over a
-// superset of units is reused for any subset on the same FileSet.
-func TestForCaches(t *testing.T) {
-	fset := token.NewFileSet()
-	a := checkUnit(t, fset, "example.com/a", `package a
-
-func A() {}
-`)
-	b := checkUnit(t, fset, "example.com/b", `package b
-
-func B() {}
-`)
-	g := For(DefaultConfig(), fset, []*Unit{a, b})
-	if For(DefaultConfig(), fset, []*Unit{a}) != g {
-		t.Error("subset lookup did not reuse the cached graph")
-	}
-	if For(DefaultConfig(), token.NewFileSet(), nil) == g {
-		t.Error("different FileSet reused a stale graph")
 	}
 }

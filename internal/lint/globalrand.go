@@ -43,10 +43,8 @@ func runGlobalrand(pass *analysis.Pass) error {
 	if ExemptFromModelRules(pass.Pkg.Path()) {
 		return nil
 	}
-	graph := graphFor(pass)
 	for _, f := range pass.Files {
-		file := f
-		checkAmbientStreams(pass, file)
+		checkAmbientStreams(pass, f)
 		for _, decl := range f.Decls {
 			fn, _ := decl.(*ast.FuncDecl)
 			inEngineNew := fn != nil && randConstructorHosts[fn.Name.Name] &&
@@ -55,9 +53,9 @@ func runGlobalrand(pass *analysis.Pass) error {
 				if call, ok := n.(*ast.CallExpr); ok {
 					// Interprocedural half: a helper in an exempt package
 					// drawing from the global source on model code's behalf.
-					checkLaunderedEffect(pass, graph, file, call, callgraph.ReadsGlobalRand,
+					checkLaunderedEffect(pass, call, callgraph.ReadsGlobalRand,
 						"model randomness must come from engine.Sim.Rand() or an injected *rand.Rand")
-					checkLaunderedEffect(pass, graph, file, call, callgraph.ConstructsRand,
+					checkLaunderedEffect(pass, call, callgraph.ConstructsRand,
 						"derive streams with engine.Sim.NewStream instead")
 				}
 				sel, ok := n.(*ast.SelectorExpr)
@@ -114,7 +112,7 @@ func checkAmbientStreams(pass *analysis.Pass, file *ast.File) {
 				if !ok || !isRandStream(v.Type()) {
 					continue
 				}
-				cgReport(pass, file, name,
+				pass.Reportf(name.Pos(),
 					"package-level rand stream %s: model streams must be engine.Sim.NewStream derivations threaded per object, not ambient package state",
 					name.Name)
 			}

@@ -37,9 +37,7 @@ var Hookpassive = &analysis.Analyzer{
 const hookForbidden = callgraph.WritesAcctField | callgraph.SchedulesEvent | callgraph.WritesModelState
 
 func runHookpassive(pass *analysis.Pass) error {
-	graph := graphFor(pass)
 	for _, f := range pass.Files {
-		file := f
 		var encl *ast.FuncDecl
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
@@ -47,7 +45,7 @@ func runHookpassive(pass *analysis.Pass) error {
 				encl = x
 			case *ast.CallExpr:
 				if sub := subscriberArg(pass, x); sub != nil {
-					checkSubscriber(pass, graph, file, encl, sub)
+					checkSubscriber(pass, encl, sub)
 				}
 			}
 			return true
@@ -91,15 +89,15 @@ func subscriberArg(pass *analysis.Pass, call *ast.CallExpr) ast.Expr {
 	return nil
 }
 
-func checkSubscriber(pass *analysis.Pass, graph *callgraph.Graph, file *ast.File, encl *ast.FuncDecl, sub ast.Expr) {
-	node := graph.ResolveFunc(pass.TypesInfo, sub)
+func checkSubscriber(pass *analysis.Pass, encl *ast.FuncDecl, sub ast.Expr) {
+	node := pass.Graph.ResolveFunc(pass.TypesInfo, sub)
 	if node == nil {
 		if isEnclosingParam(pass, encl, sub) {
 			return // relay idiom: callers' registration sites carry the obligation
 		}
-		cgReport(pass, file, sub,
-			"hook subscriber cannot be resolved statically, so its passivity is unverified; pass a literal or named function, or waive with %s <reason>",
-			cgAllowDirective)
+		pass.Reportf(sub.Pos(),
+			"hook subscriber cannot be resolved statically, so its passivity is unverified; pass a literal or named function, or waive with %s hookpassive <reason>",
+			allowDirective)
 		return
 	}
 	viol := node.Effects() & hookForbidden
@@ -109,9 +107,9 @@ func checkSubscriber(pass *analysis.Pass, graph *callgraph.Graph, file *ast.File
 	// One report per subscriber: the lowest set bit is the most specific
 	// charge (an //acct: write also counts as a model-state write).
 	bit := viol & -viol
-	cgReport(pass, file, sub,
+	pass.Reportf(sub.Pos(),
 		"hook subscriber %s %s (%s): subscribers must stay passive or attaching an observer changes model behaviour",
-		node, bit.Describe(), graph.Describe(node, bit))
+		node, bit.Describe(), pass.Graph.Describe(node, bit))
 }
 
 // isEnclosingParam reports whether e is a bare use of a parameter of

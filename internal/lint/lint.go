@@ -1,12 +1,12 @@
-// Package lint implements the simulator's determinism contract as
-// static analyzers (see DESIGN.md, "Determinism contract"). The engine
-// promises bit-identical runs per seed; that only holds if model code
-// never consults the wall clock, never draws from a shared global RNG,
-// never lets map iteration order reach event scheduling or results, and
-// never compares floats for exact equality where rounding differs.
-// These properties are enforced here at analysis time, so violations
-// fail `make check` instead of surfacing as digest mismatches after an
-// N-run sweep.
+// Package lint implements the simulator's contracts as static
+// analyzers. The first family is the determinism contract (see
+// DESIGN.md, "Determinism contract"). The engine promises bit-identical
+// runs per seed; that only holds if model code never consults the wall
+// clock, never draws from a shared global RNG, never lets map iteration
+// order reach event scheduling or results, and never compares floats
+// for exact equality where rounding differs. These properties are
+// enforced here at analysis time, so violations fail `make check`
+// instead of surfacing as digest mismatches after an N-run sweep.
 //
 // A second family (DESIGN.md, "Physics contract") guards the model's
 // physical bookkeeping: noconc keeps model packages single-threaded,
@@ -21,29 +21,39 @@
 // two ground truths, the compiler-backed escape audit in
 // internal/escape (`dcqcn-lint -escape`) and the AllocsPerRun budget
 // tests in the hot packages.
+//
+// The fourth family (DESIGN.md §14) is interprocedural: hookpassive
+// judges hook subscribers by what they can transitively do. It reads
+// the internal/lint/callgraph effect summaries, as do walltime and
+// globalrand (for calls laundered through exempt packages), maporder
+// (for effectful callees) and acctfield (for //acct: writes). Run
+// builds one graph per invocation and every pass shares it.
+//
+// One waiver grammar covers every analyzer: `//lint:allow <analyzer>
+// <reason>` on the flagged line or the line above it (see Run).
 package lint
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"dcqcn/internal/lint/analysis"
+	"dcqcn/internal/lint/callgraph"
 )
 
-// All returns the 11 contract analyzers in stable order: the
+// All returns the 10 contract analyzers in stable order: the
 // determinism family (walltime, globalrand, maporder, floateq,
 // simtime), the physics/concurrency family (noconc, eventpast,
 // acctfield — see DESIGN.md §9), the hot-path family (hotchain — see
-// DESIGN.md §12), and the interprocedural contract family (ccability,
-// hookpassive — see DESIGN.md §14).
+// DESIGN.md §12), and the interprocedural family (hookpassive — see
+// DESIGN.md §14).
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Walltime, Globalrand, Maporder, Floateq, Simtime,
 		Noconc, Eventpast, Acctfield,
 		Hotchain,
-		Ccability, Hookpassive,
+		Hookpassive,
 	}
 }
 
@@ -53,51 +63,10 @@ func All() []*analysis.Analyzer {
 // "cmd") and the sweep harness (element "harness"), whose provenance
 // artifacts record real timestamps by design. Everything else in the
 // module is model code. Test files are exempt too, but the loader never
-// feeds them to analyzers in the first place.
+// feeds them to analyzers in the first place. The call graph's
+// model-state rule uses the same definition.
 func ExemptFromModelRules(pkgPath string) bool {
-	for _, el := range strings.Split(pkgPath, "/") {
-		if el == "cmd" || el == "harness" {
-			return true
-		}
-	}
-	return false
-}
-
-// orderedDirective is the annotation that suppresses one maporder
-// diagnostic. It must carry a reason, e.g.
-//
-//	//lint:ordered keys feed a commutative reduction checked by TestX
-//
-// placed on the line of the range statement or the line above it.
-const orderedDirective = "//lint:ordered"
-
-// orderedAnnotation looks for a //lint:ordered directive covering the
-// node and returns (reason, found). A directive with an empty reason
-// still counts as found; the caller reports it as malformed.
-func orderedAnnotation(fset *token.FileSet, file *ast.File, n ast.Node) (string, bool) {
-	line := fset.Position(n.Pos()).Line
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, orderedDirective) {
-				continue
-			}
-			cl := fset.Position(c.Pos()).Line
-			if cl == line || cl == line-1 {
-				return strings.TrimSpace(strings.TrimPrefix(c.Text, orderedDirective)), true
-			}
-		}
-	}
-	return "", false
-}
-
-// fileFor returns the *ast.File containing pos.
-func fileFor(pass *analysis.Pass, pos token.Pos) *ast.File {
-	for _, f := range pass.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
+	return callgraph.ExemptFromModelRules(pkgPath)
 }
 
 // pkgNameOf resolves an expression to the *types.PkgName it denotes, or

@@ -28,13 +28,14 @@ import (
 //     sort or slices — the canonical way to impose order on a map.
 //
 // Everything else either sorts its keys first or carries an explicit
-// justification on the range statement's line or the line above:
+// justification on the line of the first order-sensitive statement (the
+// one reported) or the line above:
 //
-//	//lint:ordered <reason>
+//	//lint:allow maporder <reason>
 var Maporder = &analysis.Analyzer{
 	Name: "maporder",
 	Doc: "flag map ranges whose body is iteration-order sensitive (event scheduling, outer-state " +
-		"mutation, slice appends, float accumulation); sort keys first or annotate //lint:ordered <reason>",
+		"mutation, slice appends, float accumulation); sort keys first or waive with //lint:allow maporder <reason>",
 	Run: runMaporder,
 }
 
@@ -43,10 +44,9 @@ func runMaporder(pass *analysis.Pass) error {
 	// cmd code schedules nothing and its summaries would be pure noise.
 	var graph *callgraph.Graph
 	if !ExemptFromModelRules(pass.Pkg.Path()) {
-		graph = graphFor(pass)
+		graph = pass.Graph
 	}
 	for _, f := range pass.Files {
-		file := f
 		parents := buildParents(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
@@ -60,12 +60,6 @@ func runMaporder(pass *analysis.Pass) error {
 			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 				return true
 			}
-			if reason, found := orderedAnnotation(pass.Fset, file, rs); found {
-				if reason == "" {
-					pass.Reportf(rs.Pos(), "//lint:ordered annotation requires a reason")
-				}
-				return true
-			}
 			viols := orderSensitiveOps(pass.TypesInfo, graph, rs)
 			if len(viols) == 0 {
 				return true
@@ -76,7 +70,7 @@ func runMaporder(pass *analysis.Pass) error {
 			}
 			v := viols[0]
 			pass.Reportf(v.pos,
-				"map iteration order reaches %s; sort the keys first or annotate //lint:ordered <reason>", v.msg)
+				"map iteration order reaches %s; sort the keys first or waive with %s maporder <reason>", v.msg, allowDirective)
 			return true
 		})
 	}

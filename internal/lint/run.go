@@ -1,11 +1,10 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
-	"os"
 	"sort"
+	"strings"
 
 	"dcqcn/internal/lint/analysis"
 	"dcqcn/internal/lint/callgraph"
@@ -20,7 +19,7 @@ type Finding struct {
 	Pos      string `json:"pos"`
 	Message  string `json:"message"`
 
-	position token.Position
+	Position token.Position `json:"-"`
 }
 
 // String renders the finding in the conventional file:line:col form.
@@ -28,96 +27,76 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Analyzer, f.Message)
 }
 
-// Suppression silences one analyzer for one package, with a mandatory
-// recorded reason. This is the coarse-grained escape hatch for whole
-// packages whose job violates a rule by design; single map ranges use
-// the //lint:ordered annotation instead.
-type Suppression struct {
-	Analyzer string `json:"analyzer"`
-	Package  string `json:"package"`
-	Reason   string `json:"reason"`
+// allowDirective is the one waiver grammar, for every analyzer:
+//
+//	//lint:allow <analyzer> <reason>
+//
+// on the flagged line or the line above it.
+const allowDirective = "//lint:allow"
+
+// waiver is one //lint:allow directive.
+type waiver struct {
+	analyzer string
+	reasoned bool
+	pos      token.Position
+	used     bool
 }
 
-// Config is the multichecker's suppression configuration, read from a
-// JSON file (see dcqcn-lint -config).
-type Config struct {
-	Suppressions []Suppression `json:"suppressions"`
-}
-
-// LoadConfig reads and validates a suppression config file.
-func LoadConfig(path string) (*Config, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// waiversOf collects the //lint:allow directives in a package.
+func waiversOf(pkg *load.Package) []*waiver {
+	var out []*waiver
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				fields := strings.Fields(c.Text)
+				if len(fields) == 0 || fields[0] != allowDirective {
+					continue
+				}
+				w := &waiver{pos: pkg.Fset.Position(c.Pos()), reasoned: len(fields) > 2}
+				if len(fields) > 1 {
+					w.analyzer = fields[1]
+				}
+				out = append(out, w)
+			}
+		}
 	}
-	var cfg Config
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		return nil, fmt.Errorf("lint: parsing %s: %w", path, err)
+	return out
+}
+
+// Run applies every analyzer in analyzers to every package in pkgs over
+// one shared call graph, applies the packages' //lint:allow waivers,
+// and returns the findings sorted by position. A reasoned waiver
+// silences the finding it covers; a reasonless one is reported in its
+// place. A waiver naming an unknown analyzer is itself a finding, and
+// so is a stale one: its analyzer ran over its package and it silenced
+// nothing. Waivers for analyzers outside analyzers are not judged.
+// Analyzer errors (not findings) abort the run.
+func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
+	var graph *callgraph.Graph
+	if len(pkgs) > 0 {
+		units := make([]*callgraph.Unit, len(pkgs))
+		for i, p := range pkgs {
+			units[i] = &callgraph.Unit{Files: p.Files, Pkg: p.Types, Info: p.Info}
+		}
+		graph = callgraph.Build(pkgs[0].Fset, units)
 	}
 	known := make(map[string]bool)
 	for _, a := range All() {
 		known[a.Name] = true
 	}
-	for i, s := range cfg.Suppressions {
-		switch {
-		case !known[s.Analyzer]:
-			return nil, fmt.Errorf("lint: %s: suppression %d names unknown analyzer %q", path, i, s.Analyzer)
-		case s.Package == "":
-			return nil, fmt.Errorf("lint: %s: suppression %d has no package", path, i)
-		case s.Reason == "":
-			return nil, fmt.Errorf("lint: %s: suppression %d (%s on %s) has no reason", path, i, s.Analyzer, s.Package)
-		}
+	ran := make(map[string]bool)
+	for _, a := range analyzers {
+		ran[a.Name] = true
 	}
-	return &cfg, nil
-}
-
-// suppressed reports whether cfg silences analyzer on pkgPath.
-func (c *Config) suppressed(analyzer, pkgPath string) bool {
-	if c == nil {
-		return false
-	}
-	for _, s := range c.Suppressions {
-		if s.Analyzer == analyzer && s.Package == pkgPath {
-			return true
-		}
-	}
-	return false
-}
-
-// Run applies every analyzer in analyzers to every package in pkgs,
-// drops findings the config suppresses, and returns the remainder
-// sorted by position. Analyzer errors (not findings) abort the run.
-func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer, cfg *Config) ([]Finding, error) {
-	findings, _, err := RunWithStale(pkgs, analyzers, cfg)
-	return findings, err
-}
-
-// RunWithStale is Run plus stale-suppression detection: suppressed
-// analyzers still execute, their findings are dropped and counted, and
-// every suppression whose (analyzer, package) pair was actually judged
-// in this invocation — the analyzer ran and the package was loaded —
-// yet silenced zero findings is returned as stale. Suppressions for
-// packages or analyzers outside this run are never judged, so a
-// subset invocation (dcqcn-lint ./internal/engine) cannot false-flag
-// an unrelated package's suppression.
-func RunWithStale(pkgs []*load.Package, analyzers []*analysis.Analyzer, cfg *Config) ([]Finding, []Suppression, error) {
 	var findings []Finding
-	hits := make(map[string]int) // analyzer\x00pkg -> suppressed findings
-	judged := make(map[string]bool)
-	// One interprocedural summary graph per invocation, shared by every
-	// (package, analyzer) pass — the fixpoint is the expensive part and
-	// callgraph.For caches it across repeated driver calls in-process.
-	var graph any
-	if len(pkgs) > 0 {
-		graph = callgraph.For(ModelStateConfig(), pkgs[0].Fset, unitsOf(pkgs))
+	add := func(analyzer, pkgPath string, pos token.Position, msg string) {
+		findings = append(findings, Finding{
+			Analyzer: analyzer, Package: pkgPath, Pos: pos.String(), Message: msg, Position: pos,
+		})
 	}
 	for _, pkg := range pkgs {
+		waivers := waiversOf(pkg)
 		for _, a := range analyzers {
-			silence := cfg.suppressed(a.Name, pkg.PkgPath)
-			key := a.Name + "\x00" + pkg.PkgPath
-			if silence {
-				judged[key] = true
-			}
 			pass := &analysis.Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
@@ -126,47 +105,56 @@ func RunWithStale(pkgs []*load.Package, analyzers []*analysis.Analyzer, cfg *Con
 				TypesInfo: pkg.Info,
 				Graph:     graph,
 			}
-			name, pkgPath := a.Name, pkg.PkgPath
+			name := a.Name
 			pass.Report = func(d analysis.Diagnostic) {
-				if silence {
-					hits[key]++
-					return
-				}
 				pos := pkg.Fset.Position(d.Pos)
-				findings = append(findings, Finding{
-					Analyzer: name,
-					Package:  pkgPath,
-					Pos:      pos.String(),
-					Message:  d.Message,
-					position: pos,
-				})
+				msg := d.Message
+				if w := cover(waivers, name, pos); w != nil {
+					w.used = true
+					if w.reasoned {
+						return
+					}
+					msg = fmt.Sprintf("%s %s waiver without a reason; state why this finding is safe", allowDirective, name)
+				}
+				add(name, pkg.PkgPath, pos, msg)
 			}
 			if err := a.Run(pass); err != nil {
-				return nil, nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.PkgPath, err)
+				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.PkgPath, err)
 			}
 		}
-	}
-	var stale []Suppression
-	if cfg != nil {
-		for _, s := range cfg.Suppressions {
-			key := s.Analyzer + "\x00" + s.Package
-			if judged[key] && hits[key] == 0 {
-				stale = append(stale, s)
+		for _, w := range waivers {
+			switch {
+			case !known[w.analyzer]:
+				add("lint", pkg.PkgPath, w.pos, fmt.Sprintf("%s names unknown analyzer %q", allowDirective, w.analyzer))
+			case ran[w.analyzer] && !w.used:
+				add("lint", pkg.PkgPath, w.pos, fmt.Sprintf("stale %s %s waiver: it silences nothing; remove it", allowDirective, w.analyzer))
 			}
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i], findings[j]
-		if a.position.Filename != b.position.Filename {
-			return a.position.Filename < b.position.Filename
+		a, b := findings[i].Position, findings[j].Position
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
 		}
-		if a.position.Line != b.position.Line {
-			return a.position.Line < b.position.Line
+		if a.Line != b.Line {
+			return a.Line < b.Line
 		}
-		if a.position.Column != b.position.Column {
-			return a.position.Column < b.position.Column
+		if a.Column != b.Column {
+			return a.Column < b.Column
 		}
-		return a.Analyzer < b.Analyzer
+		return findings[i].Analyzer < findings[j].Analyzer
 	})
-	return findings, stale, nil
+	return findings, nil
+}
+
+// cover returns the waiver for analyzer on pos's line or the line
+// above it, or nil.
+func cover(waivers []*waiver, analyzer string, pos token.Position) *waiver {
+	for _, w := range waivers {
+		if w.analyzer == analyzer && w.pos.Filename == pos.Filename &&
+			(w.pos.Line == pos.Line || w.pos.Line == pos.Line-1) {
+			return w
+		}
+	}
+	return nil
 }

@@ -42,5 +42,5 @@ func launder() *rand.Rand {
 // ambient is package-level: shared by construction, unseedable per run.
 var ambient *rand.Rand // want `package-level rand stream ambient`
 
-//cg:allow scratch source for the doc example below; never reaches a simulation
+//lint:allow globalrand scratch source for the doc example below; never reaches a simulation
 var blessed *rand.Rand

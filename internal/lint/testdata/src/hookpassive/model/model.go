@@ -62,6 +62,6 @@ func pick(fns []func(*Packet)) func(*Packet) { return fns[0] }
 func AttachDynamic(p *Port, fns []func(*Packet)) {
 	f := pick(fns)
 	p.OnRx = hooks.Chain(p.OnRx, f) // want `hook subscriber cannot be resolved statically`
-	//cg:allow fns holds this package's own probes, all of them passive by review
+	//lint:allow hookpassive fns holds this package's own probes, all of them passive by review
 	p.OnRx = hooks.Chain(p.OnRx, f)
 }

@@ -1,6 +1,6 @@
 // Package a exercises the maporder analyzer: map-range bodies with
 // order-sensitive effects are flagged; sorted-key collection, keyed
-// stores, commutative integer accumulation and annotated loops pass.
+// stores, commutative integer accumulation and waived loops pass.
 package a
 
 import (
@@ -90,19 +90,20 @@ func send(m map[string]int, ch chan string) {
 	}
 }
 
-// annotated carries a justified suppression and passes.
+// annotated carries a justified waiver on the reported statement and
+// passes.
 func annotated(m map[string]int, sink func(string)) {
-	//lint:ordered sink deduplicates internally; delivery order is immaterial
 	for k := range m {
+		//lint:allow maporder sink deduplicates internally; delivery order is immaterial
 		sink(k)
 	}
 }
 
 // bareAnnotation suppresses nothing: a justification is mandatory.
 func bareAnnotation(m map[string]int, sink func(string)) {
-	//lint:ordered
-	for k := range m { // want `annotation requires a reason`
-		sink(k)
+	for k := range m {
+		//lint:allow maporder
+		sink(k) // want `waiver without a reason`
 	}
 }
 

@@ -34,6 +34,6 @@ func laundered() time.Time {
 
 // waivedLaunder is the same call with a justified waiver.
 func waivedLaunder() time.Time {
-	//cg:allow timestamp is recorded into provenance before the run starts and never feeds the model
+	//lint:allow walltime timestamp is recorded into provenance before the run starts and never feeds the model
 	return harness.Stamp()
 }

@@ -32,9 +32,7 @@ func runWalltime(pass *analysis.Pass) error {
 	if ExemptFromModelRules(pass.Pkg.Path()) {
 		return nil
 	}
-	graph := graphFor(pass)
 	for _, f := range pass.Files {
-		file := f
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.SelectorExpr:
@@ -48,7 +46,7 @@ func runWalltime(pass *analysis.Pass) error {
 						x.Sel.Name, pass.Pkg.Path())
 				}
 			case *ast.CallExpr:
-				checkLaunderedEffect(pass, graph, file, x, callgraph.CallsWalltime,
+				checkLaunderedEffect(pass, x, callgraph.CallsWalltime,
 					"reads the wall clock; model code must use the simulated clock (engine.Sim.Now/After/Ticker)")
 			}
 			return true
@@ -62,20 +60,16 @@ func runWalltime(pass *analysis.Pass) error {
 // transitively carries effect. Same-package and model-package callees
 // are skipped: the per-package scan of their own package flags the
 // primitive site directly.
-func checkLaunderedEffect(pass *analysis.Pass, graph *callgraph.Graph, file *ast.File,
-	call *ast.CallExpr, effect callgraph.Effect, consequence string) {
-	node := graph.ResolveFunc(pass.TypesInfo, call.Fun)
+func checkLaunderedEffect(pass *analysis.Pass, call *ast.CallExpr, effect callgraph.Effect, consequence string) {
+	node := pass.Graph.ResolveFunc(pass.TypesInfo, call.Fun)
 	if node == nil || node.Effects()&effect == 0 {
 		return
 	}
-	callee := calleeFunc(pass, call.Fun)
-	if callee == nil || callee.Pkg() == nil || callee.Pkg() == pass.Pkg {
+	callee := node.Pkg()
+	if callee.Path() == pass.Pkg.Path() || !ExemptFromModelRules(callee.Path()) {
 		return
 	}
-	if !ExemptFromModelRules(callee.Pkg().Path()) {
-		return
-	}
-	cgReport(pass, file, call,
+	pass.Reportf(call.Pos(),
 		"call into exempt package %s transitively %s (%s); %s",
-		callee.Pkg().Name(), effect.Describe(), graph.Describe(node, effect), consequence)
+		callee.Name(), effect.Describe(), pass.Graph.Describe(node, effect), consequence)
 }

@@ -5,7 +5,7 @@
 //     congestion controller from the internal/cc registry (DCQCN's RP by
 //     default; fixed-rate for the PFC-only baseline, TIMELY, QCN and the
 //     other registered algorithms by selection). The NIC subscribes the
-//     controller to the signals its capabilities declare and re-arms the
+//     controller to the signals it has reactors for and re-arms the
 //     pacer through its rate listener;
 //   - a receiver queue pair plus DCQCN's NP state machine generating CNPs
 //     from CE-marked arrivals;
@@ -162,9 +162,10 @@ type flowState struct {
 	qp   *rocev2.Sender
 	ctrl cc.Controller
 
-	// Typed signal subscriptions, resolved once at OpenFlow by capability
-	// discovery, so the per-packet receive path pays a nil check — not an
-	// interface type assertion — per unconsumed signal.
+	// Typed signal subscriptions, resolved once at OpenFlow from the
+	// reactor interfaces the controller implements, so the per-packet
+	// receive path pays a nil check — not an interface type assertion —
+	// per unconsumed signal.
 	rtt  cc.RTTReactor
 	qcn  cc.QCNReactor
 	ack  cc.AckReactor
@@ -247,23 +248,12 @@ func (n *NIC) OpenFlow(dst packet.NodeID) *Flow {
 		qp:   rocev2.NewSender(id, tuple, n.cfg.Transport, n.clock, ctrl),
 		ctrl: ctrl,
 	}
-	// Capability discovery: subscribe only the signals the controller
-	// declares. The assertions are unchecked on purpose — a controller
-	// declaring a capability without the matching reactor method is a
-	// programming error that must fail loudly, at open time.
-	caps := ctrl.Capabilities()
-	if caps&cc.CapRTT != 0 {
-		fs.rtt = ctrl.(cc.RTTReactor)
-	}
-	if caps&cc.CapQCN != 0 {
-		fs.qcn = ctrl.(cc.QCNReactor)
-	}
-	if caps&cc.CapAckECN != 0 {
-		fs.ack = ctrl.(cc.AckReactor)
-	}
-	if caps&cc.CapHint != 0 {
-		fs.hint = ctrl.(cc.HintReactor)
-	}
+	// Subscribe the flow to exactly the reactors its controller
+	// implements; a signal it has no reactor for stays nil.
+	fs.rtt, _ = ctrl.(cc.RTTReactor)
+	fs.qcn, _ = ctrl.(cc.QCNReactor)
+	fs.ack, _ = ctrl.(cc.AckReactor)
+	fs.hint, _ = ctrl.(cc.HintReactor)
 	ctrl.SetRateListener(func(r simtime.Rate) {
 		n.onRateChange(fs)
 		if n.OnRateUpdate != nil {

@@ -155,7 +155,6 @@ type qcnStub struct {
 	got []float64
 }
 
-func (q *qcnStub) Capabilities() cc.Capability        { return cc.CapQCN }
 func (q *qcnStub) SetRateListener(func(simtime.Rate)) {}
 func (q *qcnStub) OnQCNFeedback(fb float64)           { q.got = append(q.got, fb) }
 
@@ -388,7 +387,6 @@ type rttStub struct {
 	samples []simtime.Duration
 }
 
-func (r *rttStub) Capabilities() cc.Capability        { return cc.CapRTT }
 func (r *rttStub) SetRateListener(func(simtime.Rate)) {}
 func (r *rttStub) OnRTT(d simtime.Duration)           { r.samples = append(r.samples, d) }
 

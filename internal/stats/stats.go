@@ -129,6 +129,7 @@ func (s *Sample) CDF() []CDFPoint {
 	var pts []CDFPoint
 	n := float64(len(s.xs))
 	for i := 0; i < len(s.xs); i++ {
+		//lint:allow floateq CDF detects runs of equal observations in a sorted slice of stored sample values, not freshly rounded arithmetic; exact by construction, and an epsilon would be wrong
 		if i+1 < len(s.xs) && s.xs[i+1] == s.xs[i] {
 			continue // emit only the last of a run of equal values
 		}
@@ -262,6 +263,7 @@ func JainIndex(values []float64) float64 {
 		sum += v
 		sumSq += v * v
 	}
+	//lint:allow floateq JainIndex guards the all-zero degenerate input of stored sample values, not freshly rounded arithmetic; exact by construction, and an epsilon would be wrong
 	if sumSq == 0 {
 		return 1 // all zero: degenerate but equal
 	}
