@@ -1,7 +1,7 @@
 # Developer entry points. `make check` is the pre-PR gate: formatting,
 # vet, the contract linters, a full build, the test suite under the
-# race detector, and the invariants-tagged suite with the conservation
-# auditor armed. The sweep smoke target exercises the parallel harness
+# race detector, the invariants-tagged suite with the conservation
+# auditor armed, and a short fuzz of the event queue. The sweep smoke target exercises the parallel harness
 # end to end (all scenarios in short mode, determinism gate on) and
 # leaves its artifacts in sweep-out/.
 
@@ -11,9 +11,9 @@ GO ?= go
 # same code (testdata fixtures are excluded by pattern expansion).
 PKGS ?= ./...
 
-.PHONY: check fmt vet lint build test race faults invariants flightrec cc hybrid bench-test escape escape-update alloc-budgets bench sweep-smoke sweep chaos clean
+.PHONY: check fmt vet lint build test race faults invariants fuzz flightrec cc hybrid bench-test escape escape-update alloc-budgets bench sweep-smoke sweep chaos clean
 
-check: fmt vet lint build faults race invariants flightrec cc hybrid bench-test
+check: fmt vet lint build faults race invariants fuzz flightrec cc hybrid bench-test
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -82,6 +82,12 @@ invariants:
 	$(GO) test -tags invariants ./...
 	$(GO) run -tags invariants ./cmd/dcqcn-sweep -scenario 'chaos-*' -seeds 1 \
 		-parallel 0 -check-determinism -quiet -out chaos-out
+
+# The event queue's fuzz target, run for 30 s beyond its seed corpus
+# (which `test` and `race` replay): random pushes, pops, bounded pops and
+# cancels, checked against a reference model.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzQueueOperations$$' -fuzztime 30s ./internal/eventq/
 
 # Flight recorder gate: the package's unit tests (ring encoding, pause
 # chains, diffing, exporters), the armed chaos smoke (every chaos

@@ -3,7 +3,11 @@
 // A Sim handle fronts a core that owns the clock, the event queue and the
 // random number source. All model components (links, switches, NICs,
 // traffic generators) schedule callbacks through a handle; the run loop
-// pops events in timestamp order and executes them. Each core is strictly
+// pops events in timestamp order, up to its horizon, and executes them.
+// The queue is a radix heap (internal/eventq), which requires that no
+// event is scheduled before the last one popped: At and AtArrival reject
+// any time before the clock, which never runs behind the last pop, so a
+// model can never break that precondition. Each core is strictly
 // single-threaded: determinism and the absence of locking are both
 // consequences of that choice, following the design of classical network
 // simulators.
@@ -211,15 +215,11 @@ func (s *Sim) Run(until simtime.Time) uint64 {
 	c := s.c
 	c.halted = false
 	start := c.events
-	for {
-		if c.halted {
+	for !c.halted {
+		e := c.queue.PopUntil(until)
+		if e == nil {
 			break
 		}
-		head := c.queue.Peek()
-		if head == nil || head.At > until {
-			break
-		}
-		e := c.queue.Pop()
 		c.auditPop(e.At)
 		c.now = e.At
 		c.fold(e.At)
@@ -237,25 +237,7 @@ func (s *Sim) Run(until simtime.Time) uint64 {
 // RunAll executes events until the queue drains completely.
 //
 //hot:path
-func (s *Sim) RunAll() uint64 {
-	c := s.c
-	c.halted = false
-	start := c.events
-	for {
-		if c.halted {
-			break
-		}
-		e := c.queue.Pop()
-		if e == nil {
-			break
-		}
-		c.auditPop(e.At)
-		c.now = e.At
-		c.fold(e.At)
-		e.Fire()
-	}
-	return c.events - start
-}
+func (s *Sim) RunAll() uint64 { return s.Run(simtime.Forever) }
 
 // Pending returns the number of events waiting in the queue.
 func (s *Sim) Pending() int { return s.c.queue.Len() }

@@ -30,6 +30,37 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestScheduleBetweenHorizonAndHead is the regression test for a queue
+// whose radix base ran ahead of the clock: Run(25) stops short of the
+// event at 30, and an event then scheduled at 27 must still fire before
+// it, exactly as if both had been scheduled up front.
+func TestScheduleBetweenHorizonAndHead(t *testing.T) {
+	run := func(late bool) (Digest, []simtime.Time) {
+		s := New(1)
+		var fired []simtime.Time
+		note := func() { fired = append(fired, s.Now()) }
+		s.At(10, note)
+		s.At(30, note)
+		if !late {
+			s.At(27, note)
+		}
+		s.Run(25)
+		if late {
+			s.At(27, note)
+		}
+		s.RunAll()
+		return s.Digest(), fired
+	}
+	upfront, _ := run(false)
+	got, fired := run(true)
+	if !slices.Equal(fired, []simtime.Time{10, 27, 30}) {
+		t.Fatalf("fired at %v, want [10 27 30]", fired)
+	}
+	if got != upfront {
+		t.Fatalf("digest %v after scheduling past the horizon, %v up front", got, upfront)
+	}
+}
+
 func TestEventAtHorizonFires(t *testing.T) {
 	s := New(1)
 	hit := false

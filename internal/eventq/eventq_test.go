@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -164,26 +165,80 @@ func TestPushKeyedArg(t *testing.T) {
 	}
 }
 
-// TestEventSize keeps the pooled header within 80 bytes: the pool
-// retains one per peak-pending event, so its size is live heap.
+// TestEventSize keeps a pooled header within 88 bytes: the Event
+// itself plus its entry in the queue's pointer-free slot table. The pool
+// retains both for every peak-pending event for the whole run, so their
+// sum is live heap.
 func TestEventSize(t *testing.T) {
-	if sz := unsafe.Sizeof(Event{}); sz > 80 {
-		t.Fatalf("Event is %d bytes, budget 80", sz)
+	if sz := unsafe.Sizeof(Event{}) + unsafe.Sizeof(slot{}); sz > 88 {
+		t.Fatalf("Event plus slot is %d bytes, budget 88", sz)
 	}
 }
 
-func TestPeek(t *testing.T) {
+// TestPopUntil checks the run loop's horizon: PopUntil returns nil and
+// leaves the queue as it was while the head is past the limit, and the
+// radix base stays at the last pop, so a push between the limit and the
+// head is still accepted and pops first. A limit below the last pop
+// holds back even the events due at that pop's time.
+func TestPopUntil(t *testing.T) {
 	var q Queue
-	if q.Peek() != nil {
-		t.Fatal("peek on empty queue should be nil")
+	if q.PopUntil(10) != nil {
+		t.Fatal("PopUntil on empty queue should be nil")
 	}
 	q.Push(5, func() {})
-	e := q.Push(3, func() {})
-	if q.Peek() != e.e {
-		t.Fatal("peek did not return earliest event")
+	q.Push(5, func() {})
+	head := q.Push(30, func() {})
+	if e := q.PopUntil(10); e == nil || e.At != 5 {
+		t.Fatalf("PopUntil(10) = %v, want the event at 5", e)
 	}
-	if q.Len() != 2 {
-		t.Fatal("peek must not remove events")
+	if e := q.PopUntil(4); e != nil {
+		t.Fatalf("PopUntil(4) returned the event at %v past the limit", e.At)
+	}
+	if e := q.PopUntil(5); e == nil || e.At != 5 {
+		t.Fatalf("PopUntil(5) = %v, want the second event at 5", e)
+	}
+	if e := q.PopUntil(25); e != nil {
+		t.Fatalf("PopUntil(25) returned the event at %v past the limit", e.At)
+	}
+	if q.Len() != 1 || !head.Pending() {
+		t.Fatal("PopUntil past the limit disturbed the queue")
+	}
+	q.Push(27, func() {})
+	for _, want := range []simtime.Time{27, 30} {
+		if e := q.PopUntil(30); e == nil || e.At != want {
+			t.Fatalf("PopUntil(30) = %v, want the event at %v", e, want)
+		}
+	}
+	if q.PopUntil(simtime.Forever) != nil {
+		t.Fatal("queue should be empty")
+	}
+}
+
+// TestPushBeforeLastPopPanics pins the radix heap's precondition: a push
+// earlier than the last popped event, or at a negative time, panics
+// rather than misfiling the event. The engine never makes either push.
+func TestPushBeforeLastPopPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pop  simtime.Time // time of an event popped first; < 0 for none
+		at   simtime.Time
+	}{
+		{"before last pop", 10, 9},
+		{"negative", -1, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var q Queue
+			if tc.pop >= 0 {
+				q.Push(tc.pop, func() {})
+				q.Pop()
+			}
+			defer func() {
+				if recover() == nil {
+					t.Errorf("push at %v did not panic", tc.at)
+				}
+			}()
+			q.Push(tc.at, func() {})
+		})
 	}
 }
 
@@ -196,9 +251,11 @@ func TestPopEmpty(t *testing.T) {
 
 // TestHeapProperty drives the queue with random pushes, pops and cancels
 // and checks every pop returns the minimum of the currently-pending times.
+// Pushes land at or after the last popped time, as the engine's do.
 func TestHeapProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var q Queue
+	var last simtime.Time
 	pending := map[Handle]simtime.Time{}
 	minPending := func() (simtime.Time, bool) {
 		min, ok := simtime.Forever, false
@@ -212,8 +269,10 @@ func TestHeapProperty(t *testing.T) {
 	for op := 0; op < 20000; op++ {
 		switch r := rng.Intn(10); {
 		case r < 5:
-			at := simtime.Time(rng.Intn(1000))
-			pending[q.Push(at, func() {})] = at
+			at := last.Add(simtime.Duration(rng.Intn(1000)))
+			var h Handle
+			h = q.Push(at, func() { delete(pending, h) })
+			pending[h] = at
 		case r < 8:
 			want, any := minPending()
 			e := q.Pop()
@@ -229,7 +288,8 @@ func TestHeapProperty(t *testing.T) {
 			if e.At != want {
 				t.Fatalf("pop returned %d, min pending is %d", e.At, want)
 			}
-			delete(pending, Handle{e: e, gen: e.gen})
+			last = e.At
+			e.Fire()
 		default:
 			for e := range pending { // random map iteration picks a victim
 				q.Cancel(e)
@@ -241,16 +301,15 @@ func TestHeapProperty(t *testing.T) {
 }
 
 // TestQuickSortedDrain property: pushing any set of times and draining the
-// queue yields those times sorted.
+// queue yields those times sorted. The times are offset to be
+// non-negative, since the queue rejects negative ones.
 func TestQuickSortedDrain(t *testing.T) {
 	f := func(times []int16) bool {
 		var q Queue
-		for _, v := range times {
-			q.Push(simtime.Time(v), func() {})
-		}
 		want := make([]simtime.Time, len(times))
 		for i, v := range times {
-			want[i] = simtime.Time(v)
+			want[i] = simtime.Time(int64(v) - math.MinInt16)
+			q.Push(want[i], func() {})
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		for i := 0; q.Len() > 0; i++ {
@@ -265,14 +324,17 @@ func TestQuickSortedDrain(t *testing.T) {
 	}
 }
 
+// BenchmarkPushPop holds the queue near 1024 pending events, each pushed
+// a random delay after the last popped time.
 func BenchmarkPushPop(b *testing.B) {
 	var q Queue
+	var now simtime.Time
 	rng := rand.New(rand.NewSource(42))
 	fn := func() {}
 	for i := 0; i < b.N; i++ {
-		q.Push(simtime.Time(rng.Int63n(1e12)), fn)
+		q.Push(now.Add(simtime.Duration(rng.Int63n(1e12))), fn)
 		if q.Len() > 1024 {
-			q.Pop()
+			now = q.Pop().At
 		}
 	}
 }

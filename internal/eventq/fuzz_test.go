@@ -7,14 +7,19 @@ import (
 )
 
 // FuzzQueueOperations drives the heap with an arbitrary op tape — pushes,
-// pops, and cancels through any handle ever issued, stale ones included
-// — and checks every outcome against a reference model: pops return the
-// earliest live event (FIFO among equal times), a handle is pending
-// exactly while its event is live, and cancelling a stale handle never
-// disturbs the event now occupying its recycled header.
+// pops, pops bounded by a limit, and cancels through any handle ever
+// issued, stale ones included — and checks every outcome against a
+// reference model: pops return the earliest live event (FIFO among equal
+// times), a bounded pop returns nothing while that event is past its
+// limit, a handle is pending exactly while its event is live, and
+// cancelling a stale handle never disturbs the event now occupying its
+// recycled header. Push times and limits are offsets from the last
+// popped time, as the engine's are from its clock; a limit may also fall
+// before it.
 func FuzzQueueOperations(f *testing.F) {
 	f.Add([]byte{1, 5, 200, 0, 3, 0, 255, 9})
 	f.Add([]byte{1, 1, 200, 200, 2, 2, 230, 200})
+	f.Add([]byte{1, 40, 9, 210, 20, 1, 12, 210, 30, 180, 180})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		if len(tape) > 512 {
 			t.Skip()
@@ -26,40 +31,49 @@ func FuzzQueueOperations(f *testing.F) {
 		}
 		var model []ref // indexed by push order, which is also the FIFO tie-break
 		var handles []Handle
+		var last simtime.Time
 		fired := -1
+		next := func(i int, op byte) simtime.Duration {
+			if i+1 < len(tape) {
+				return simtime.Duration(tape[i+1])
+			}
+			return simtime.Duration(op)
+		}
 		for i := 0; i < len(tape); i++ {
 			op := tape[i]
 			switch {
-			case op < 170: // push with time from the next byte
-				at := simtime.Time(op)
-				if i+1 < len(tape) {
-					at = simtime.Time(tape[i+1])
-				}
+			case op < 170: // push at an offset from the next byte
+				at := last.Add(next(i, op))
 				id := len(model)
 				handles = append(handles, q.Push(at, func() { fired = id }))
 				model = append(model, ref{at: at, live: true})
-			case op < 220: // pop and verify against the model
+			case op < 220: // pop; from 200 on, bounded by the next byte less 32 as an offset
+				limit := simtime.Forever
+				if op >= 200 {
+					limit = last.Add(next(i, op) - 32)
+				}
 				want := -1
 				for id, r := range model {
 					if r.live && (want < 0 || r.at < model[want].at) {
 						want = id
 					}
 				}
-				e := q.Pop()
-				if want < 0 {
+				e := q.PopUntil(limit)
+				if want < 0 || model[want].at > limit {
 					if e != nil {
-						t.Fatal("pop from empty returned event")
+						t.Fatalf("PopUntil(%d) returned an event at %d, model expects none", limit, e.At)
 					}
 					continue
 				}
 				if e == nil {
-					t.Fatal("pop returned nil with pending events")
+					t.Fatalf("PopUntil(%d) returned nil, model expects %d at %d", limit, want, model[want].at)
 				}
 				e.Fire()
 				if fired != want {
 					t.Fatalf("popped event %d at %d, model expects %d at %d", fired, e.At, want, model[want].at)
 				}
 				model[want].live = false
+				last = e.At
 			default: // cancel through any handle, live or stale
 				if len(handles) == 0 {
 					continue
