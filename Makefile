@@ -2,8 +2,9 @@
 # vet, the contract linters, a full build, the test suite under the
 # race detector, the invariants-tagged suite with the conservation
 # auditor armed, and a short fuzz of the event queue. The sweep smoke target exercises the parallel harness
-# end to end (all scenarios in short mode, determinism gate on) and
-# leaves its artifacts in sweep-out/.
+# end to end (randomloss plus the two scenarios with DCTCP rigs, fig19
+# and ablation-faststart, determinism gate on) and leaves its artifacts
+# in sweep-out/.
 
 GO ?= go
 
@@ -144,11 +145,13 @@ bench-test:
 bench:
 	$(GO) test -run=NONE -bench=BenchmarkSweep -benchtime=1x .
 
-# Quick end-to-end exercise of the harness: one scenario, 4 workers,
-# determinism gate on. Artifacts land in sweep-out/.
+# Quick end-to-end exercise of the harness: 4 workers, determinism gate
+# on. fig19 and ablation-faststart are here for their DCTCP points: the
+# golden digests pin first points only, so this gate is the only
+# determinism check on the DCTCP rigs. Artifacts land in sweep-out/.
 sweep-smoke:
-	$(GO) run ./cmd/dcqcn-sweep -scenario randomloss -parallel 4 \
-		-check-determinism -quiet -out sweep-out
+	$(GO) run ./cmd/dcqcn-sweep -scenario randomloss,fig19,ablation-faststart \
+		-parallel 4 -check-determinism -quiet -out sweep-out
 
 # The full evaluation sweep (every registered scenario).
 sweep:

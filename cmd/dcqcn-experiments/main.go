@@ -2,24 +2,27 @@
 // DCQCN paper's evaluation on the simulated testbed and prints them in
 // the order the paper presents them.
 //
-// Packet-level experiments are consumed from the sweep-harness scenario
-// registry (the same registry cmd/dcqcn-sweep exposes), so each figure
-// is a parallel multi-seed sweep with per-point aggregates; fluid-model,
-// host-model and analytical figures remain direct calls.
+// Every packet-level experiment is consumed from the sweep-harness
+// scenario registry (the same registry cmd/dcqcn-sweep exposes), so each
+// figure is a parallel multi-seed sweep with per-point aggregates; the
+// fluid-model, host-model and analytical figures and the class-isolation
+// extension remain direct calls.
 //
 // Usage:
 //
 //	dcqcn-experiments [-full] [-only fig16] [-list] [-parallel N]
-//	                  [-cc name] [-hybrid] [-bg-flows N]
+//	                  [-cc name] [-bg-flows N]
 //
 // -full uses the high-fidelity settings recorded in EXPERIMENTS.md
 // (minutes of CPU time); the default quick settings finish in well under
 // a minute and preserve every qualitative conclusion. -cc swaps the
 // congestion-control algorithm (internal/cc registry name) for the
-// DCQCN modes of every experiment, except those that vary DCQCN's own
-// parameters (fig13, fig20 and the ablations), which always run DCQCN,
+// DCQCN modes of every experiment, except the runs that compare DCQCN
+// itself against something else — fig10 (the fluid model), fig13, the
+// DCQCN side of fig19 (DCTCP), fig20 (a marking change) and the
+// ablations, fast start's DCQCN side included — which always run DCQCN,
 // and the timely extension, which always compares DCQCN with TIMELY.
-// -hybrid -bg-flows=N runs every packet-level experiment over N fluid
+// -bg-flows=N runs every packet-level experiment over N fluid
 // background flows (internal/hybrid); the hybrid experiment entry
 // itself sweeps the hybrid-* scenarios regardless.
 package main
@@ -81,7 +84,7 @@ func all(reg *harness.Registry, fid experiments.Fidelity, parallel int) []experi
 		{"fig4+9", "Victim flow vs senders under T3, per mode",
 			sweep(reg, "victimflow", parallel)},
 		{"fig10", "Fluid model vs packet-level implementation",
-			func() string { return experiments.FluidVsPacket(fid).Table() }},
+			sweep(reg, "fig10", parallel)},
 		{"fig11", "Convergence sweeps: byte counter, timer, Kmax, Pmax (fluid)",
 			func() string {
 				sweeps := experiments.Fig11Sweeps()
@@ -110,23 +113,13 @@ func all(reg *harness.Registry, fid experiments.Fidelity, parallel int) []experi
 		{"fig15+16", "Benchmark traffic: user/incast percentiles and spine PAUSEs",
 			sweep(reg, "benchmark-fig16", parallel)},
 		{"fig17", "16x load: 5 pairs no-DCQCN vs 80 pairs DCQCN (incast 10)",
-			func() string {
-				r := experiments.Fig17(5, 80, 10, fid)
-				return fmt.Sprintf(
-					"user median: no-DCQCN(5 pairs) %.2fG vs DCQCN(80 pairs) %.2fG\n"+
-						"user CDF points: %d vs %d\n",
-					r.NoDCQCNUserMedian, r.DCQCNUserMedian,
-					len(r.NoDCQCNUser), len(r.DCQCNUser))
-			}},
+			sweep(reg, "fig17", parallel)},
 		{"fig18", "Need for PFC and correct thresholds (8:1 incast)",
 			sweep(reg, "fig18", parallel)},
 		{"fig19", "Queue length CDF: DCQCN vs DCTCP (20:1 incast)",
-			func() string {
-				r := experiments.Fig19(fid)
-				return r.Table()
-			}},
+			sweep(reg, "fig19", parallel)},
 		{"fig20", "Multi-bottleneck parking lot: cut-off vs RED marking",
-			func() string { return experiments.Fig20Table(experiments.Fig20(fid)) }},
+			sweep(reg, "fig20", parallel)},
 		{"sec7-loss", "Non-congestion random loss vs go-back-N goodput",
 			sweep(reg, "randomloss", parallel)},
 		{"sec4", "Buffer thresholds (t_flight, t_PFC, t_ECN)",
@@ -138,10 +131,8 @@ func all(reg *harness.Registry, fid experiments.Fidelity, parallel int) []experi
 				return experiments.ClassIsolationTable(experiments.ClassIsolation(fid))
 			}},
 		{"timely", "Extension: DCQCN (ECN) vs TIMELY (delay) baseline",
-			func() string {
-				return experiments.TimelyComparisonTable(experiments.TimelyComparison(fid))
-			}},
-		{"ablations", "Design-choice ablations (g, R_AI, timer, CNP priority)",
+			sweep(reg, "timely-comparison", parallel)},
+		{"ablations", "Design-choice ablations (g, R_AI, timer, CNP priority, fast start)",
 			sweep(reg, "ablation-*", parallel)},
 		{"chaos", "Fault injection: pause storms, flaps, loss windows, deadlock probe",
 			sweep(reg, "chaos-*", parallel)},
@@ -177,8 +168,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	parallel := flag.Int("parallel", 0, "worker pool for scenario sweeps (0 = GOMAXPROCS)")
 	ccName := flag.String("cc", "dcqcn", "congestion-control algorithm for the DCQCN modes (internal/cc registry name)")
-	hybrid := flag.Bool("hybrid", false, "arm the fluid background substrate on every experiment (see -bg-flows)")
-	bgFlows := flag.Int("bg-flows", 0, "background flows modeled as fluid classes (> 0 implies -hybrid)")
+	bgFlows := flag.Int("bg-flows", 0, "background flows modeled as fluid classes on every experiment (0 = substrate off)")
 	flag.Parse()
 
 	fid := experiments.Quick()
@@ -190,7 +180,7 @@ func main() {
 		os.Exit(2)
 	}
 	fid.CC = *ccName
-	fid.Hybrid = *hybrid || *bgFlows > 0
+	fid.Hybrid = *bgFlows > 0
 	fid.BgFlows = *bgFlows
 	reg := harness.NewRegistry()
 	experiments.RegisterAll(reg, fid)

@@ -7,14 +7,14 @@
 //	dcqcn-sim [-senders 8] [-chunk 2000000] [-duration 50ms] [-seed 1]
 //	          [-mode dcqcn|pfc|nopfc] [-kmin 5000] [-kmax 200000]
 //	          [-pmax 0.01] [-g 0.00390625] [-timer 55us] [-bc 10000000]
-//	          [-cc name] [-hybrid] [-bg-flows N]
+//	          [-cc name] [-bg-flows N]
 //
 // -cc swaps the congestion-control algorithm (internal/cc registry name:
 // dcqcn, timely, dctcp, switch-assist, policy, ...). With a non-default
 // algorithm the DCQCN tuning flags (-kmin, -g, ...) are ignored — the
 // algorithm runs its registered defaults.
 //
-// -hybrid -bg-flows=N puts N long-lived background flows under the
+// -bg-flows=N puts N long-lived background flows under the
 // incast as a fluid DCQCN substrate (internal/hybrid): they press on
 // the same shared buffer and ECN marking the incast sees, at a cost
 // independent of N — 1M flows run as fast as 10.
@@ -43,8 +43,7 @@ func main() {
 	timer := flag.Duration("timer", 55*time.Microsecond, "rate increase timer")
 	bc := flag.Int64("bc", 10_000_000, "byte counter (bytes)")
 	ccName := flag.String("cc", "dcqcn", "congestion-control algorithm (internal/cc registry name)")
-	hybrid := flag.Bool("hybrid", false, "arm the fluid background substrate (see -bg-flows)")
-	bgFlows := flag.Int("bg-flows", 0, "background flows modeled as fluid classes (> 0 implies -hybrid)")
+	bgFlows := flag.Int("bg-flows", 0, "background flows modeled as fluid classes (0 = substrate off)")
 	flag.Parse()
 
 	params := dcqcn.DefaultParams()
@@ -81,7 +80,7 @@ func main() {
 	}
 	// Last, so the substrate inherits the marking profile the mode and
 	// cc flags settled on.
-	if *hybrid || *bgFlows > 0 {
+	if *bgFlows > 0 {
 		opts = opts.WithBackgroundFlows(*bgFlows)
 	}
 
@@ -128,7 +127,7 @@ func main() {
 
 	sw := sim.Switch("SW")
 	fmt.Printf("%d:1 incast, %s chunks, %v, mode=%s\n", *senders, byteCount(*chunk), horizon, *mode)
-	if *hybrid || *bgFlows > 0 {
+	if *bgFlows > 0 {
 		fmt.Printf("  hybrid:  %d background flows as fluid classes\n", *bgFlows)
 	}
 	fmt.Printf("  goodput: min=%.2fG p50=%.2fG max=%.2fG total=%.1fG (fair share %.2fG)\n",

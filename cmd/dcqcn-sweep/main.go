@@ -14,7 +14,7 @@
 //	            [-seeds N] [-out dir] [-full] [-check-determinism]
 //	            [-bench] [-list] [-quiet] [-record]
 //	            [-cc name[,name...]] [-cc-params json] [-list-cc]
-//	            [-hybrid] [-bg-flows N]
+//	            [-bg-flows N]
 //
 // -check-determinism reruns every (point, seed) at least twice and fails
 // loudly unless engine digests and metrics are bit-identical — the gate
@@ -26,17 +26,18 @@
 // registry. With several names the whole scenario matrix runs once per
 // algorithm: per-algorithm artifacts land in <out>/cc-<name>/ and a
 // head-to-head comparison (cc_compare.json plus a printed table) lands
-// in <out>/. The scenarios that vary DCQCN's own parameters
-// (convergence-fig13, ablation-g, ablation-rai, ablation-timer,
-// ablation-cnp) always run DCQCN, whatever -cc names.
+// in <out>/. The runs that compare DCQCN itself against something else
+// always run DCQCN, whatever -cc names: fig10, convergence-fig13,
+// fig19's dcqcn point, fig20 and every ablation-* scenario
+// (ablation-faststart's dcqcn point included). timely-comparison names
+// both of its algorithms.
 //
-// -hybrid arms the fluid/packet co-simulation substrate
-// (internal/hybrid) on every run: -bg-flows long-lived background
-// flows are modeled as fluid DCQCN classes coupled into the fabric's
-// buffers and ECN marking, at a cost independent of the flow count.
-// -bg-flows alone implies -hybrid. The hybrid-* scenarios (registered
-// regardless) sweep 10k/100k/1M background flows and validate the
-// approximation against pure-packet ground truth.
+// -bg-flows N (N > 0) arms the fluid/packet co-simulation substrate
+// (internal/hybrid) on every run: N long-lived background flows are
+// modeled as fluid DCQCN classes coupled into the fabric's buffers and
+// ECN marking, at a cost independent of the flow count. The hybrid-*
+// scenarios (registered regardless) sweep 10k/100k/1M background flows
+// and validate the approximation against pure-packet ground truth.
 package main
 
 import (
@@ -70,8 +71,7 @@ func main() {
 		ccSpec   = flag.String("cc", "dcqcn", "comma-separated congestion-control algorithms (see -list-cc)")
 		ccParams = flag.String("cc-params", "", "JSON object overlaid onto the selected algorithm's default params (single -cc only)")
 		listCC   = flag.Bool("list-cc", false, "list registered cc algorithms with default params as JSON and exit")
-		hybrid   = flag.Bool("hybrid", false, "arm the fluid background substrate on every run (see -bg-flows)")
-		bgFlows  = flag.Int("bg-flows", 0, "background flows modeled as fluid classes (> 0 implies -hybrid)")
+		bgFlows  = flag.Int("bg-flows", 0, "background flows modeled as fluid classes on every run (0 = substrate off)")
 	)
 	flag.Parse()
 
@@ -118,7 +118,7 @@ func main() {
 		baseFid = experiments.Full()
 		fidName = "full"
 	}
-	baseFid.Hybrid = *hybrid || *bgFlows > 0
+	baseFid.Hybrid = *bgFlows > 0
 	baseFid.BgFlows = *bgFlows
 
 	if *list {

@@ -4,23 +4,14 @@ import (
 	"fmt"
 
 	"dcqcn/internal/core"
-	"dcqcn/internal/dctcp"
 	"dcqcn/internal/engine"
 	"dcqcn/internal/fabric"
 	"dcqcn/internal/harness"
-	"dcqcn/internal/link"
-	"dcqcn/internal/packet"
 	"dcqcn/internal/rocev2"
 	"dcqcn/internal/simtime"
 	"dcqcn/internal/stats"
 	"dcqcn/internal/topology"
 )
-
-// AblationResult is a generic labelled metric set.
-type AblationResult struct {
-	Label   string
-	Metrics map[string]float64
-}
 
 // twoFlowConvergenceRun runs the two-sender star microbenchmark of the
 // timer and CNP-priority ablations with the given DCQCN parameters and
@@ -95,54 +86,36 @@ func incastQueueRun(params core.Params, degree int, seedBase uint64, seed int64,
 		repostLoop(open(fmt.Sprintf("H%d", i), recv), 8*1000*1000, func(rocev2.Completion) {})
 	}
 	sw := net.Switch("SW")
-	var queue stats.Sample
-	warmEnd := simtime.Time(fid.Warmup)
-	net.Sim.Ticker(10*simtime.Microsecond, func(now simtime.Time) {
-		if now >= warmEnd {
-			queue.Add(float64(sw.EgressQueue(degree, packet.PrioData)))
-		}
-	})
+	queue := sampleEgressQueue(net.Sim, sw, degree, fid)
 	net.Sim.Run(simtime.Time(fid.Warmup + fid.Duration))
-	return &queue, sw, net.Sim.Digest()
+	return queue, sw, net.Sim.Digest()
 }
 
-// AblationFastStart compares the FCT of a bursty short transfer under
-// DCQCN (which starts at line rate) against DCTCP (which slow starts) on
-// an otherwise idle fabric — the design rationale of §3.1(iii). The
-// 10 µs host link delay models the software stack RTT DCTCP pays.
-func AblationFastStart(fid Fidelity) []AblationResult {
+// fastStartRun measures the FCT of a bursty 500 KB transfer on an
+// otherwise idle two-host star under DCQCN, which starts at line rate,
+// or under DCTCP, which slow starts — the design rationale of
+// §3.1(iii). The 10 µs host link delay models the software stack RTT
+// DCTCP pays.
+func fastStartRun(useDCTCP bool, run uint64, fid Fidelity) (harness.Metrics, engine.Digest) {
 	const size = 500 * 1000
-	var out []AblationResult
-
-	{
-		opts := options(ModeDCQCN, 5, fid)
+	end := simtime.Time(50 * simtime.Millisecond)
+	var fct simtime.Duration
+	var dig engine.Digest
+	if useDCTCP {
+		sim, _, hosts := dctcpStar(67+int64(run)*104729, 2, 10*simtime.Microsecond)
+		start := sim.Now()
+		hosts[0].StartTransfer(hosts[1].ID, size, func() { fct = sim.Now().Sub(start) })
+		sim.Run(end)
+		dig = sim.Digest()
+	} else {
+		opts := dcqcnOptions(core.DefaultParams(), 5+run*7919, fid)
 		opts.HostLinkDelay = 10 * simtime.Microsecond
-		net := topology.NewStar(66, 2, opts)
-		var fct simtime.Duration
+		net := topology.NewStar(66+int64(run)*104729, 2, opts)
 		net.Host("H1").OpenFlow(net.Host("H2").ID).PostMessage(size, func(c rocev2.Completion) {
 			fct = c.Duration()
 		})
-		net.Sim.Run(simtime.Time(50 * simtime.Millisecond))
-		out = append(out, AblationResult{Label: "DCQCN (line-rate start)",
-			Metrics: map[string]float64{"FCT (us)": fct.Microseconds()}})
+		net.Sim.Run(end)
+		dig = net.Sim.Digest()
 	}
-	{
-		sim := engine.New(67)
-		swCfg := fabric.DefaultConfig()
-		swCfg.Marking = core.DefaultParams().WithCutoffMarking(160 * 1000)
-		sw := fabric.New(sim, 1000, "SW", 2, swCfg)
-		a := dctcp.New(sim, 1, "H1", dctcp.DefaultConfig())
-		b := dctcp.New(sim, 2, "H2", dctcp.DefaultConfig())
-		link.Connect(sim, a.Port(), sw.Port(0), 10*simtime.Microsecond)
-		link.Connect(sim, b.Port(), sw.Port(1), 10*simtime.Microsecond)
-		sw.AddRoute(1, 0)
-		sw.AddRoute(2, 1)
-		start := sim.Now()
-		var fct simtime.Duration
-		a.StartTransfer(2, size, func() { fct = sim.Now().Sub(start) })
-		sim.Run(simtime.Time(50 * simtime.Millisecond))
-		out = append(out, AblationResult{Label: "DCTCP (slow start)",
-			Metrics: map[string]float64{"FCT (us)": fct.Microseconds()}})
-	}
-	return out
+	return harness.Metrics{"fct_us": fct.Microseconds()}, dig
 }

@@ -2,10 +2,25 @@ package experiments
 
 import (
 	"dcqcn/internal/engine"
+	"dcqcn/internal/harness"
 	"dcqcn/internal/rocev2"
 	"dcqcn/internal/simtime"
 	"dcqcn/internal/stats"
 	"dcqcn/internal/workload"
+)
+
+// Fixed parameters of the §6.2 benchmark traffic.
+const (
+	// incastChunk is the per-read rebuild transfer size.
+	incastChunk = 2 * 1000 * 1000
+	// incastDepth is how many rebuild reads each sender keeps in flight:
+	// disk recovery issues many fetches concurrently, which is also what
+	// keeps enough data standing in the fabric for PAUSE to cascade.
+	incastDepth = 8
+	// minUserSample excludes latency-bound small RPCs from the
+	// throughput percentiles (a 2 KB transfer's "throughput" measures
+	// stack latency, not congestion).
+	minUserSample = 512 * 1000
 )
 
 // BenchmarkConfig parameterizes the §6.2 benchmark-traffic experiment:
@@ -15,37 +30,19 @@ type BenchmarkConfig struct {
 	Mode         Mode
 	Pairs        int
 	IncastDegree int
-	// IncastChunk is the per-read rebuild transfer size.
-	IncastChunk int64
-	// IncastDepth is how many rebuild reads each sender keeps in flight:
-	// disk recovery issues many fetches concurrently, which is also what
-	// keeps enough data standing in the fabric for PAUSE to cascade.
-	IncastDepth int
-	// MinUserSample excludes latency-bound small RPCs from the
-	// throughput percentiles (a 2 KB transfer's "throughput" measures
-	// stack latency, not congestion).
-	MinUserSample int64
 }
 
 // DefaultBenchmarkConfig returns the paper's §6.2 setup: 20 pairs, one
 // incast, 2 MB rebuild reads.
 func DefaultBenchmarkConfig(mode Mode, incastDegree int) BenchmarkConfig {
-	return BenchmarkConfig{
-		Mode:          mode,
-		Pairs:         20,
-		IncastDegree:  incastDegree,
-		IncastChunk:   2 * 1000 * 1000,
-		IncastDepth:   8,
-		MinUserSample: 512 * 1000,
-	}
+	return BenchmarkConfig{Mode: mode, Pairs: 20, IncastDegree: incastDegree}
 }
 
-// BenchmarkResult aggregates the Fig. 16/17 metrics over all runs.
+// BenchmarkResult holds one run's Figs. 15–17 measurements.
 type BenchmarkResult struct {
-	Config BenchmarkConfig
 	// User holds per-transfer throughput samples of the user pairs
 	// (bits/s); Incast holds per-flow goodput over the measurement
-	// window for each rebuild flow of each run.
+	// window for each rebuild flow.
 	User   stats.Sample
 	Incast stats.Sample
 	// SpinePauses counts XOFF frames received at S1+S2 (Fig. 15).
@@ -54,33 +51,28 @@ type BenchmarkResult struct {
 	Drops int64
 }
 
-// Benchmark runs the §6.2 experiment: random communicating pairs running
-// closed-loop transfers with the storage-trace size distribution, plus
-// one incast of the given degree into a random receiver. Pair placement,
-// incast membership and ECMP seeds are re-rolled each run.
-func Benchmark(cfg BenchmarkConfig, fid Fidelity) BenchmarkResult {
-	res := BenchmarkResult{Config: cfg}
-	for run := 0; run < fid.Runs; run++ {
-		perRun, _ := BenchmarkRun(cfg, uint64(run), fid)
-		res.User.Merge(&perRun.User)
-		res.Incast.Merge(&perRun.Incast)
-		res.SpinePauses += perRun.SpinePauses
-		res.Drops += perRun.Drops
+// metrics returns the run's user and incast percentiles, spine PAUSEs
+// and drops — the metric set of benchmark-fig16 and fig17.
+func (r *BenchmarkResult) metrics() harness.Metrics {
+	return harness.Metrics{
+		"user_p50_gbps":   gbps(r.User.Median()),
+		"user_p10_gbps":   gbps(r.User.Percentile(10)),
+		"incast_p50_gbps": gbps(r.Incast.Median()),
+		"incast_p10_gbps": gbps(r.Incast.Percentile(10)),
+		"spine_pauses":    float64(r.SpinePauses),
+		"drops":           float64(r.Drops),
 	}
-	return res
 }
 
 // BenchmarkRun executes one seeded run of the §6.2 benchmark-traffic
-// experiment and returns its single-run result plus the engine digest.
-// Placement and workload randomness depend only on the run index, so
-// sweeps over degree or mode are paired comparisons.
+// experiment — random communicating pairs running closed-loop transfers
+// with the storage-trace size distribution, plus one incast of the
+// given degree into a random receiver — and returns its result plus the
+// engine digest. Placement and workload randomness depend only on the
+// run index, so sweeps over degree or mode are paired comparisons.
 func BenchmarkRun(cfg BenchmarkConfig, run uint64, fid Fidelity) (BenchmarkResult, engine.Digest) {
-	res := BenchmarkResult{Config: cfg}
+	var res BenchmarkResult
 	dist := workload.StorageTraceDist()
-	depth := cfg.IncastDepth
-	if depth < 1 {
-		depth = 1
-	}
 	net := topologyTestbed(cfg.Mode, run, fid)
 	open := openFlow(net)
 	// Placement and workload randomness come from a dedicated engine
@@ -106,12 +98,12 @@ func BenchmarkRun(cfg BenchmarkConfig, run uint64, fid Fidelity) (BenchmarkResul
 		meters = append(meters, m)
 		var post func()
 		post = func() {
-			flow.PostMessage(cfg.IncastChunk, func(c rocev2.Completion) {
+			flow.PostMessage(incastChunk, func(c rocev2.Completion) {
 				m.bytes += c.Size
 				post()
 			})
 		}
-		for d := 0; d < depth; d++ {
+		for d := 0; d < incastDepth; d++ {
 			post()
 		}
 	}
@@ -146,7 +138,7 @@ func BenchmarkRun(cfg BenchmarkConfig, run uint64, fid Fidelity) (BenchmarkResul
 			flow := open(src, dst)
 			size := dist.Sample(pairRng)
 			flow.PostMessage(size, func(c rocev2.Completion) {
-				if c.DoneAt >= warmEnd && c.Size >= cfg.MinUserSample {
+				if c.DoneAt >= warmEnd && c.Size >= minUserSample {
 					pair.Add(float64(c.Throughput()))
 				}
 				flow.Close()
@@ -166,36 +158,4 @@ func BenchmarkRun(cfg BenchmarkConfig, run uint64, fid Fidelity) (BenchmarkResul
 	res.SpinePauses = spinePauseCount(net)
 	res.Drops = totalDrops(net)
 	return res, net.Sim.Digest()
-}
-
-// Fig17Result compares user-traffic CDFs at different offered loads: the
-// paper's "16x more traffic" claim contrasts 5 pairs without DCQCN
-// against 80 pairs with it.
-type Fig17Result struct {
-	// NoDCQCNUser / DCQCNUser are per-transfer throughput CDFs.
-	NoDCQCNUser, DCQCNUser     []stats.CDFPoint
-	NoDCQCNIncast, DCQCNIncast []stats.CDFPoint
-	// Medians for quick comparison (Gb/s).
-	NoDCQCNUserMedian, DCQCNUserMedian float64
-}
-
-// Fig17 runs the higher-load experiment: incast degree fixed at the
-// sweep maximum, pairs 5 (no DCQCN) versus 80 (DCQCN).
-func Fig17(noDCQCNPairs, dcqcnPairs, incastDegree int, fid Fidelity) Fig17Result {
-	base := DefaultBenchmarkConfig(ModePFCOnly, incastDegree)
-	base.Pairs = noDCQCNPairs
-	off := Benchmark(base, fid)
-
-	withCC := DefaultBenchmarkConfig(ModeDCQCN, incastDegree)
-	withCC.Pairs = dcqcnPairs
-	on := Benchmark(withCC, fid)
-
-	return Fig17Result{
-		NoDCQCNUser:       off.User.CDF(),
-		DCQCNUser:         on.User.CDF(),
-		NoDCQCNIncast:     off.Incast.CDF(),
-		DCQCNIncast:       on.Incast.CDF(),
-		NoDCQCNUserMedian: gbps(off.User.Median()),
-		DCQCNUserMedian:   gbps(on.User.Median()),
-	}
 }

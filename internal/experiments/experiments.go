@@ -3,8 +3,9 @@
 // packet-level experiment is a registered harness scenario
 // (RegisterScenarios, RegisterChaosScenarios, RegisterHybridScenarios):
 // one per-run function, swept by cmd/dcqcn-sweep and printed by
-// cmd/dcqcn-experiments, which also calls the fluid-model, host-model
-// and extension experiments that have no scenario directly.
+// cmd/dcqcn-experiments. Only the fluid-model, host-model and
+// analytical experiments and the class-isolation extension have no
+// scenario; cmd/dcqcn-experiments calls them directly.
 //
 // The per-experiment index lives in DESIGN.md; paper-vs-measured values
 // are recorded in EXPERIMENTS.md.
@@ -16,10 +17,14 @@ import (
 
 	"dcqcn/internal/cc"
 	"dcqcn/internal/core"
+	"dcqcn/internal/engine"
+	"dcqcn/internal/fabric"
 	"dcqcn/internal/hybrid"
 	"dcqcn/internal/nic"
+	"dcqcn/internal/packet"
 	"dcqcn/internal/rocev2"
 	"dcqcn/internal/simtime"
+	"dcqcn/internal/stats"
 	"dcqcn/internal/topology"
 )
 
@@ -69,9 +74,11 @@ type Fidelity struct {
 	// Runs is the number of random repetitions (seeds) per data point.
 	Runs int
 	// CC selects the congestion-control algorithm by registry name for
-	// the DCQCN modes of every scenario (the PFC-only baseline keeps its
-	// fixed-rate sender, the runs built by dcqcnOptions keep DCQCN, and
-	// TimelyComparison names both of its arms). Empty means "dcqcn" —
+	// the DCQCN modes of every scenario. The PFC-only baseline keeps its
+	// fixed-rate sender; the runs built by dcqcnOptions (fig10,
+	// convergence-fig13, fig19's dcqcn point, fig20 and every ablation)
+	// keep DCQCN; timely-comparison names the algorithm of each point;
+	// the DCTCP rigs run no registry algorithm. Empty means "dcqcn" —
 	// the deployed algorithm, routed through the internal/cc framework
 	// either way.
 	CC string
@@ -82,9 +89,10 @@ type Fidelity struct {
 	// Hybrid arms the fluid/packet co-simulation substrate
 	// (internal/hybrid) on every network a scenario builds: BgFlows
 	// long-lived background flows are modeled as fluid DCQCN classes
-	// coupled into the fabric's buffers and marking. With BgFlows = 0
-	// the armer still runs but attaches nothing — digests stay
-	// bit-identical to an unarmed run (the hybrid-off passivity gate).
+	// coupled into the fabric's buffers and marking. The CLIs set it
+	// exactly when BgFlows > 0. With BgFlows = 0 the armer still runs
+	// but attaches nothing — digests stay bit-identical to an unarmed
+	// run (the hybrid-off passivity gate).
 	Hybrid bool
 	// BgFlows is the background flow count the hybrid substrate models.
 	BgFlows int
@@ -166,12 +174,14 @@ func options(mode Mode, seedBase uint64, fid Fidelity) topology.Options {
 	return opts
 }
 
-// dcqcnOptions builds the DCQCN rig for the runs that pin the DCQCN
-// parameters under test (Fig. 13, Fig. 20 and the g, R_AI, timer and
-// CNP-priority ablations): DCQCN senders with params, switches marking
-// with params. These runs always use DCQCN, so fid.CC and fid.CCParams
-// are cleared first — another algorithm's capabilities would otherwise
-// switch off CNP generation under senders that need it.
+// dcqcnOptions builds the DCQCN rig for the runs that compare DCQCN
+// itself against something else — the fluid model (Fig. 10), other
+// DCQCN parameters (Fig. 13 and the g, R_AI, timer and CNP-priority
+// ablations), DCTCP (Fig. 19), a marking change (Fig. 20) or slow
+// start (the fast-start ablation): DCQCN senders with params, switches
+// marking with params. These runs always use DCQCN, so fid.CC and
+// fid.CCParams are cleared first — another algorithm's capabilities
+// would otherwise switch off CNP generation under senders that need it.
 func dcqcnOptions(params core.Params, seedBase uint64, fid Fidelity) topology.Options {
 	fid.CC, fid.CCParams = "", nil
 	opts := options(ModeDCQCN, seedBase, fid)
@@ -222,6 +232,19 @@ func repostLoop(flow *nic.Flow, size int64, record func(rocev2.Completion)) {
 		})
 	}
 	post()
+}
+
+// sampleEgressQueue samples the data-class egress queue (bytes) of sw's
+// port every 10 µs once the warmup has passed.
+func sampleEgressQueue(sim *engine.Sim, sw *fabric.Switch, port int, fid Fidelity) *stats.Sample {
+	queue := &stats.Sample{}
+	warmEnd := simtime.Time(fid.Warmup)
+	sim.Ticker(10*simtime.Microsecond, func(now simtime.Time) {
+		if now >= warmEnd {
+			queue.Add(float64(sw.EgressQueue(port, packet.PrioData)))
+		}
+	})
+	return queue
 }
 
 // totalDrops sums drops across all switches of a network.

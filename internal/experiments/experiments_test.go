@@ -85,15 +85,12 @@ func TestFig4vs9(t *testing.T) {
 
 // TestFig10 checks the fluid model tracks the implementation.
 func TestFig10(t *testing.T) {
-	r := FluidVsPacket(tiny())
-	if r.MeanRelError > 0.15 {
-		t.Errorf("fluid vs packet mean rel error %.1f%%, want < 15%%", r.MeanRelError*100)
+	m := runPoint(t, tiny(), "fig10", "2-flow")
+	if m["mean_rel_err_pct"] > 15 {
+		t.Errorf("fluid vs packet mean rel error %.1f%%, want < 15%%", m["mean_rel_err_pct"])
 	}
-	if r.PacketRate.N() == 0 || r.FluidRate.N() == 0 {
+	if !(m["packet_med_gbps"] > 0 && m["fluid_med_gbps"] > 0) {
 		t.Error("missing trajectories")
-	}
-	if r.Table() == "" {
-		t.Error("table must render")
 	}
 }
 
@@ -175,6 +172,28 @@ func TestFig16(t *testing.T) {
 	}
 }
 
+// TestFig17 checks the §6.2 load-headroom claim in the form this
+// simulator reproduces (EXPERIMENTS.md lists the paper's exact 5-vs-80
+// crossover as a known deviation): DCQCN carries 80 user pairs beside a
+// 10:1 incast losslessly, with no spine PAUSEs and a usable per-flow
+// median, while PFC alone already pushes PAUSE to the spines at 5 pairs.
+func TestFig17(t *testing.T) {
+	dcqcn := runPoint(t, tiny(), "fig17", "dcqcn/pairs=80")
+	pfc := runPoint(t, tiny(), "fig17", "no-dcqcn/pairs=5")
+	if dcqcn["spine_pauses"] != 0 || dcqcn["drops"] != 0 {
+		t.Errorf("DCQCN at 80 pairs: %.0f spine PAUSEs, %.0f drops; want none", dcqcn["spine_pauses"], dcqcn["drops"])
+	}
+	if dcqcn["user_p50_gbps"] < 8 {
+		t.Errorf("DCQCN at 80 pairs: user p50 %.2f Gbps, want >= 8", dcqcn["user_p50_gbps"])
+	}
+	if pfc["spine_pauses"] == 0 {
+		t.Error("PFC-only at 5 pairs: no spine PAUSEs; the incast should cascade to the spines")
+	}
+	if pfc["drops"] != 0 {
+		t.Errorf("PFC-only at 5 pairs dropped %.0f packets in a lossless fabric", pfc["drops"])
+	}
+}
+
 // TestFig18 checks the four configurations: only proper DCQCN combines
 // losslessness with good tails; removing PFC brings drops; misconfigured
 // thresholds underperform proper DCQCN.
@@ -197,17 +216,14 @@ func TestFig18(t *testing.T) {
 // TestFig19 checks the §6.3 queue comparison: DCQCN's median queue is
 // far shorter than DCTCP's.
 func TestFig19(t *testing.T) {
-	r := Fig19(tiny())
-	dq, tq := r.DCQCNQueue.Median(), r.DCTCPQueue.Median()
+	dq := runPoint(t, tiny(), "fig19", "dcqcn")["queue_p50_kb"]
+	tq := runPoint(t, tiny(), "fig19", "dctcp")["queue_p50_kb"]
 	if dq >= tq/2 {
-		t.Errorf("median queue: DCQCN %.0fB vs DCTCP %.0fB, want < half", dq, tq)
+		t.Errorf("median queue: DCQCN %.1fKB vs DCTCP %.1fKB, want < half", dq, tq)
 	}
 	// DCTCP's cut-off threshold anchors its queue near 160KB.
-	if tq < 80e3 {
-		t.Errorf("DCTCP median queue %.0fB implausibly low", tq)
-	}
-	if r.Table() == "" {
-		t.Error("table must render")
+	if tq < 80 {
+		t.Errorf("DCTCP median queue %.1fKB implausibly low", tq)
 	}
 }
 
@@ -216,24 +232,18 @@ func TestFig19(t *testing.T) {
 func TestFig20(t *testing.T) {
 	// The marking-scheme difference is a steady-state effect; measure
 	// well past the alpha transient.
-	rs := Fig20(Fidelity{Duration: 40 * simtime.Millisecond, Warmup: 40 * simtime.Millisecond, Runs: 1})
-	if len(rs) != 2 {
-		t.Fatal("want cutoff and RED rows")
-	}
-	cutoff, red := rs[0], rs[1]
+	fid := Fidelity{Duration: 40 * simtime.Millisecond, Warmup: 40 * simtime.Millisecond, Runs: 1}
+	cutoff, red := runPoint(t, fid, "fig20", "cut-off"), runPoint(t, fid, "fig20", "red")
 	// The two-bottleneck flow is penalized below max-min fairness under
 	// both schemes (the parking-lot problem)...
-	for _, r := range rs {
-		if !(r.F2 < r.F1 && r.F2 < r.F3) {
-			t.Errorf("%s: f2 %.2fG not penalized (f1 %.2fG, f3 %.2fG)", r.Marking, r.F2, r.F1, r.F3)
+	for label, m := range map[string]harness.Metrics{"cut-off": cutoff, "red": red} {
+		if !(m["f2_gbps"] < m["f1_gbps"] && m["f2_gbps"] < m["f3_gbps"]) {
+			t.Errorf("%s: f2 %.2fG not penalized (f1 %.2fG, f3 %.2fG)", label, m["f2_gbps"], m["f1_gbps"], m["f3_gbps"])
 		}
 	}
 	// ...and RED-like marking mitigates (but does not solve) it.
-	if red.F2 <= cutoff.F2 {
-		t.Errorf("RED f2 %.2fG should beat cut-off f2 %.2fG", red.F2, cutoff.F2)
-	}
-	if Fig20Table(rs) == "" {
-		t.Error("table must render")
+	if red["f2_gbps"] <= cutoff["f2_gbps"] {
+		t.Errorf("RED f2 %.2fG should beat cut-off f2 %.2fG", red["f2_gbps"], cutoff["f2_gbps"])
 	}
 }
 
@@ -296,10 +306,10 @@ func TestAblations(t *testing.T) {
 		t.Error("timer-dominated recovery should converge at least as well as byte-counter-dominated")
 	}
 
-	fs := AblationFastStart(Quick())
-	if fs[0].Metrics["FCT (us)"] >= fs[1].Metrics["FCT (us)"] {
-		t.Errorf("line-rate start FCT %.0fus should beat slow start %.0fus",
-			fs[0].Metrics["FCT (us)"], fs[1].Metrics["FCT (us)"])
+	lineRate := runPoint(t, Quick(), "ablation-faststart", "dcqcn-line-rate")["fct_us"]
+	slowStart := runPoint(t, Quick(), "ablation-faststart", "dctcp-slow-start")["fct_us"]
+	if lineRate >= slowStart {
+		t.Errorf("line-rate start FCT %.0fus should beat slow start %.0fus", lineRate, slowStart)
 	}
 
 	for _, c := range []struct {
@@ -344,31 +354,25 @@ func TestRandomLoss(t *testing.T) {
 // which the paper contrasts in §3.3 and its authors later proved has no
 // unique fixed point — is far less fair at similar utilization.
 func TestTimelyComparison(t *testing.T) {
-	rs := TimelyComparison(tiny())
-	if len(rs) != 2 {
-		t.Fatal("want 2 protocols")
+	dcqcn := runPoint(t, tiny(), "timely-comparison", "dcqcn")
+	timely := runPoint(t, tiny(), "timely-comparison", "timely")
+	if dcqcn["max_min"] > 2 {
+		t.Errorf("DCQCN max/min %.2f, want near 1", dcqcn["max_min"])
 	}
-	dcqcn, timely := rs[0], rs[1]
-	if dcqcn.FairnessRatio > 2 {
-		t.Errorf("DCQCN max/min %.2f, want near 1", dcqcn.FairnessRatio)
+	if timely["max_min"] < 2*dcqcn["max_min"] {
+		t.Errorf("TIMELY max/min %.2f should far exceed DCQCN's %.2f", timely["max_min"], dcqcn["max_min"])
 	}
-	if timely.FairnessRatio < 2*dcqcn.FairnessRatio {
-		t.Errorf("TIMELY max/min %.2f should far exceed DCQCN's %.2f",
-			timely.FairnessRatio, dcqcn.FairnessRatio)
+	if timely["total_gbps"] < 20 {
+		t.Errorf("TIMELY utilization %.1fG too low: control broken, not just unfair", timely["total_gbps"])
 	}
-	if timely.TotalGbps < 20 {
-		t.Errorf("TIMELY utilization %.1fG too low: control broken, not just unfair", timely.TotalGbps)
-	}
-	if TimelyComparisonTable(rs) == "" {
-		t.Error("table must render")
-	}
-	// Both arms are built by registry name: -cc must not swap the
+	// Both points are built by registry name: -cc must not swap the
 	// algorithm under the DCQCN label.
 	fid := tiny()
 	fid.CC = "timely"
-	if got := TimelyComparison(fid); !reflect.DeepEqual(got, rs) {
-		t.Errorf("rows moved with fid.CC = timely:\n%s\nwant:\n%s",
-			TimelyComparisonTable(got), TimelyComparisonTable(rs))
+	for point, want := range map[string]harness.Metrics{"dcqcn": dcqcn, "timely": timely} {
+		if got := runPoint(t, fid, "timely-comparison", point); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s moved with fid.CC = timely: %v, want %v", point, got, want)
+		}
 	}
 }
 

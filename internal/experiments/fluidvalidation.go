@@ -5,49 +5,38 @@ import (
 	"math"
 
 	"dcqcn/internal/core"
+	"dcqcn/internal/engine"
 	"dcqcn/internal/fluid"
+	"dcqcn/internal/harness"
 	"dcqcn/internal/rocev2"
 	"dcqcn/internal/simtime"
 	"dcqcn/internal/stats"
 	"dcqcn/internal/topology"
 )
 
-// FluidVsPacketResult compares the fluid model against the packet-level
-// implementation (Fig. 10): the second sender's rate trajectory from
-// each, and the mean relative error between them.
-type FluidVsPacketResult struct {
-	// PacketRate and FluidRate are the second flow's rate over time.
-	PacketRate stats.Series
-	FluidRate  stats.Series
-	// MeanRelError is the average |packet−fluid|/capacity over the
-	// overlapping window.
-	MeanRelError float64
-}
-
-// FluidVsPacket reproduces Fig. 10: two greedy senders into one receiver
-// through one switch; the second sender joins at startDelay. The packet
-// simulator plays the NIC firmware role; the fluid model is solved with
-// both flows at line rate from the join instant (DCQCN flows start at
-// line rate, so the pre-join history only matters through flow 1's
-// state, which has converged by then).
-func FluidVsPacket(fid Fidelity) FluidVsPacketResult {
+// fig10Run reproduces Fig. 10 for one run: two greedy senders into one
+// receiver through one switch; the second sender joins at startDelay.
+// The packet simulator plays the NIC firmware role; the fluid model is
+// solved with both flows at line rate from the join instant (DCQCN
+// flows start at line rate, so the pre-join history only matters
+// through flow 1's state, which has converged by then). It returns the
+// median of the second flow's rate in each, their mean relative error
+// (|packet−fluid|/capacity over the overlapping window) and the packet
+// run's digest. Only the packet run depends on the run index.
+func fig10Run(run uint64, fid Fidelity) (harness.Metrics, engine.Digest) {
 	const startDelay = 10 * simtime.Millisecond
-	horizon := fid.Duration
-	if horizon < 50*simtime.Millisecond {
-		horizon = 50 * simtime.Millisecond
-	}
+	horizon := max(fid.Duration, 50*simtime.Millisecond)
 
 	// --- Packet-level run ---
-	opts := options(ModeDCQCN, 1, fid)
-	net := topology.NewStar(11, 3, opts)
+	net := topology.NewStar(11+int64(run)*104729, 3, dcqcnOptions(core.DefaultParams(), 1+run*7919, fid))
 	open := openFlow(net)
 	repostLoop(open("H1", "H3"), 8*1000*1000, func(rocev2.Completion) {})
-	var res FluidVsPacketResult
+	var packetRate, fluidRate stats.Series
 	net.Sim.At(simtime.Time(startDelay), func() {
 		f2 := open("H2", "H3")
 		repostLoop(f2, 8*1000*1000, func(rocev2.Completion) {})
 		net.Sim.Ticker(100*simtime.Microsecond, func(now simtime.Time) {
-			res.PacketRate.Add((now - simtime.Time(startDelay)).Seconds(), float64(f2.CurrentRate()))
+			packetRate.Add((now - simtime.Time(startDelay)).Seconds(), float64(f2.CurrentRate()))
 		})
 	})
 	net.Sim.Run(simtime.Time(startDelay + horizon))
@@ -62,30 +51,23 @@ func FluidVsPacket(fid Fidelity) FluidVsPacketResult {
 		panic(err)
 	}
 	for i, t := range fres.Time {
-		res.FluidRate.Add(t, fres.Rates[1][i])
+		fluidRate.Add(t, fres.Rates[1][i])
 	}
 
 	// Mean relative error over the common window.
-	n := len(res.PacketRate.V)
-	if len(res.FluidRate.V) < n {
-		n = len(res.FluidRate.V)
-	}
-	var acc float64
+	n := min(len(packetRate.V), len(fluidRate.V))
+	var acc, relErr float64
 	for i := 0; i < n; i++ {
-		acc += math.Abs(res.PacketRate.V[i]-res.FluidRate.V[i]) / 40e9
+		acc += math.Abs(packetRate.V[i]-fluidRate.V[i]) / 40e9
 	}
 	if n > 0 {
-		res.MeanRelError = acc / float64(n)
+		relErr = acc / float64(n)
 	}
-	return res
-}
-
-// Table summarizes the comparison.
-func (r FluidVsPacketResult) Table() string {
-	pm := r.PacketRate.Sample().Median()
-	fm := r.FluidRate.Sample().Median()
-	return fmt.Sprintf("fig10: packet median rate %.2fG, fluid median rate %.2fG, mean rel error %.1f%%\n",
-		gbps(pm), gbps(fm), r.MeanRelError*100)
+	return harness.Metrics{
+		"packet_med_gbps":  gbps(packetRate.Sample().Median()),
+		"fluid_med_gbps":   gbps(fluidRate.Sample().Median()),
+		"mean_rel_err_pct": relErr * 100,
+	}, net.Sim.Digest()
 }
 
 // SweepPoint is one cell of a Fig. 11 convergence sweep.

@@ -6,7 +6,6 @@ import (
 	"dcqcn/internal/core"
 	"dcqcn/internal/engine"
 	"dcqcn/internal/nic"
-	"dcqcn/internal/packet"
 	"dcqcn/internal/rocev2"
 	"dcqcn/internal/simtime"
 	"dcqcn/internal/stats"
@@ -155,18 +154,11 @@ func IncastRun(k int, run uint64, fid Fidelity) (IncastSummaryPoint, engine.Dige
 		repostLoop(f, 8*1000*1000, func(rocev2.Completion) {})
 		flows = append(flows, f)
 	}
-	// Sample the bottleneck egress queue (switch port toward recv).
-	sw := net.Switch("SW")
-	recvPort := k // hosts attach in order; H{k+1} is port k
-	var queue stats.Sample
+	// Sample the bottleneck egress queue (switch port toward recv; hosts
+	// attach in order, so H{k+1} is port k).
+	queue := sampleEgressQueue(net.Sim, net.Switch("SW"), k, fid)
 	var before int64
-	warmEnd := simtime.Time(fid.Warmup)
-	net.Sim.Ticker(10*simtime.Microsecond, func(now simtime.Time) {
-		if now >= warmEnd {
-			queue.Add(float64(sw.EgressQueue(recvPort, packet.PrioData)))
-		}
-	})
-	net.Sim.At(warmEnd, func() {
+	net.Sim.At(simtime.Time(fid.Warmup), func() {
 		for _, f := range flows {
 			before += f.Stats().BytesSent
 		}

@@ -109,6 +109,18 @@ func RegisterScenarios(reg *harness.Registry, fid Fidelity) {
 		})
 	}
 
+	// Fig. 10: fluid model vs the packet-level implementation.
+	reg.Register(harness.Scenario{
+		Name:        "fig10",
+		Description: "Fig. 10: second-flow rate of the fluid model vs the packet simulator, 2 flows",
+		Points:      []harness.Point{{Label: "2-flow"}},
+		Seeds:       seeds,
+		Run: func(rc harness.RunContext) harness.RunResult {
+			m, dig := fig10Run(uint64(rc.Seed), fid)
+			return harness.RunResult{Metrics: m, Digest: dig}
+		},
+	})
+
 	// Fig. 13: parameter-validation microbenchmarks.
 	{
 		var points []harness.Point
@@ -181,17 +193,34 @@ func RegisterScenarios(reg *harness.Registry, fid Fidelity) {
 			Run: func(rc harness.RunContext) harness.RunResult {
 				cfg := DefaultBenchmarkConfig(Mode(rc.Point.Params["mode"]), int(rc.Point.Params["degree"]))
 				r, dig := BenchmarkRun(cfg, uint64(rc.Seed), fid)
-				return harness.RunResult{
-					Metrics: harness.Metrics{
-						"user_p50_gbps":   gbps(r.User.Median()),
-						"user_p10_gbps":   gbps(r.User.Percentile(10)),
-						"incast_p50_gbps": gbps(r.Incast.Median()),
-						"incast_p10_gbps": gbps(r.Incast.Percentile(10)),
-						"spine_pauses":    float64(r.SpinePauses),
-						"drops":           float64(r.Drops),
-					},
-					Digest: dig,
-				}
+				return harness.RunResult{Metrics: r.metrics(), Digest: dig}
+			},
+		})
+	}
+
+	// Fig. 17: 16x user load at a 10:1 incast, 5 pairs without DCQCN vs
+	// 80 pairs with it.
+	{
+		var points []harness.Point
+		for _, c := range []struct {
+			mode  Mode
+			pairs int
+		}{{ModePFCOnly, 5}, {ModeDCQCN, 80}} {
+			points = append(points, harness.Point{
+				Label:  fmt.Sprintf("%s/pairs=%d", modeLabel(c.mode), c.pairs),
+				Params: map[string]float64{"mode": float64(c.mode), "pairs": float64(c.pairs)},
+			})
+		}
+		reg.Register(harness.Scenario{
+			Name:        "fig17",
+			Description: "Fig. 17: 16x user load, 5 pairs without DCQCN vs 80 pairs with it, 10:1 incast",
+			Points:      points,
+			Seeds:       seeds,
+			Run: func(rc harness.RunContext) harness.RunResult {
+				cfg := DefaultBenchmarkConfig(Mode(rc.Point.Params["mode"]), 10)
+				cfg.Pairs = int(rc.Point.Params["pairs"])
+				r, dig := BenchmarkRun(cfg, uint64(rc.Seed), fid)
+				return harness.RunResult{Metrics: r.metrics(), Digest: dig}
 			},
 		})
 	}
@@ -223,6 +252,36 @@ func RegisterScenarios(reg *harness.Registry, fid Fidelity) {
 			},
 		})
 	}
+
+	// Fig. 19: bottleneck queue under a 20:1 incast, DCQCN vs DCTCP.
+	reg.Register(harness.Scenario{
+		Name:        "fig19",
+		Description: "Fig. 19: 20:1 incast bottleneck queue percentiles, DCQCN vs DCTCP",
+		Points: []harness.Point{
+			{Label: "dcqcn", Params: map[string]float64{"dctcp": 0}},
+			{Label: "dctcp", Params: map[string]float64{"dctcp": 1}},
+		},
+		Seeds: seeds,
+		Run: func(rc harness.RunContext) harness.RunResult {
+			m, dig := fig19Run(int(rc.Point.Params["dctcp"]) != 0, uint64(rc.Seed), fid)
+			return harness.RunResult{Metrics: m, Digest: dig}
+		},
+	})
+
+	// Fig. 20: multi-bottleneck parking lot, cut-off vs RED-like marking.
+	reg.Register(harness.Scenario{
+		Name:        "fig20",
+		Description: "Fig. 20: per-flow throughput in the multi-bottleneck parking lot, cut-off vs RED marking",
+		Points: []harness.Point{
+			{Label: "cut-off", Params: map[string]float64{"red": 0}},
+			{Label: "red", Params: map[string]float64{"red": 1}},
+		},
+		Seeds: seeds,
+		Run: func(rc harness.RunContext) harness.RunResult {
+			m, dig := fig20Run(int(rc.Point.Params["red"]) != 0, uint64(rc.Seed), fid)
+			return harness.RunResult{Metrics: m, Digest: dig}
+		},
+	})
 
 	// Ablation: alpha gain g under 16:1 incast.
 	{
@@ -330,6 +389,21 @@ func RegisterScenarios(reg *harness.Registry, fid Fidelity) {
 		})
 	}
 
+	// Ablation: line-rate start vs slow start.
+	reg.Register(harness.Scenario{
+		Name:        "ablation-faststart",
+		Description: "Ablation: FCT of a 500 KB transfer, DCQCN line-rate start vs DCTCP slow start (Sec. 3.1)",
+		Points: []harness.Point{
+			{Label: "dcqcn-line-rate", Params: map[string]float64{"dctcp": 0}},
+			{Label: "dctcp-slow-start", Params: map[string]float64{"dctcp": 1}},
+		},
+		Seeds: seeds,
+		Run: func(rc harness.RunContext) harness.RunResult {
+			m, dig := fastStartRun(int(rc.Point.Params["dctcp"]) != 0, uint64(rc.Seed), fid)
+			return harness.RunResult{Metrics: m, Digest: dig}
+		},
+	})
+
 	// §7: goodput collapse under non-congestion random loss.
 	{
 		var points []harness.Point
@@ -356,4 +430,17 @@ func RegisterScenarios(reg *harness.Registry, fid Fidelity) {
 			},
 		})
 	}
+
+	// Extension: DCQCN (ECN) vs the TIMELY (delay) baseline of §3.3.
+	// Each point's label is the cc registry name of the algorithm it runs.
+	reg.Register(harness.Scenario{
+		Name:        "timely-comparison",
+		Description: "Extension: 8:1 incast queue, fairness and goodput, DCQCN vs TIMELY (Sec. 3.3)",
+		Points:      []harness.Point{{Label: "dcqcn"}, {Label: "timely"}},
+		Seeds:       seeds,
+		Run: func(rc harness.RunContext) harness.RunResult {
+			m, dig := timelyComparisonRun(rc.Point.Label, uint64(rc.Seed), fid)
+			return harness.RunResult{Metrics: m, Digest: dig}
+		},
+	})
 }

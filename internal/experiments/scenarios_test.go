@@ -25,9 +25,10 @@ func testRegistry(t *testing.T, fid Fidelity) *harness.Registry {
 func TestRegisterScenarios(t *testing.T) {
 	reg := testRegistry(t, tiny())
 	want := []string{
-		"unfairness", "victimflow", "convergence-fig13", "incast",
-		"benchmark-fig16", "fig18", "ablation-g", "ablation-rai",
-		"ablation-timer", "ablation-cnp", "randomloss",
+		"unfairness", "victimflow", "fig10", "convergence-fig13", "incast",
+		"benchmark-fig16", "fig17", "fig18", "fig19", "fig20",
+		"ablation-g", "ablation-rai", "ablation-timer", "ablation-cnp",
+		"ablation-faststart", "randomloss", "timely-comparison",
 		"chaos-pause-storm", "chaos-flap-incast", "chaos-lossy-link",
 		"chaos-victim-storm", "chaos-deadlock-probe",
 	}
@@ -128,6 +129,16 @@ var goldenDigests = map[string]string{
 	"ablation-cnp":      "103709:53983ff579e92eb3",
 	"randomloss":        "63473:5e5b7b804cc8d11c",
 
+	// The DCTCP rigs of fig19 and ablation-faststart are their second
+	// points, which no row reaches: `make sweep-smoke` gates their
+	// determinism instead.
+	"fig10":              "853277:bab478aeda1e9d79",
+	"fig17":              "381056:eeacdb58d2f8b030",
+	"fig19":              "46394:cad50f0713f6afce",
+	"fig20":              "69264:8a8959ac8ff516fd",
+	"ablation-faststart": "1753:f2fb0d70db284b75",
+	"timely-comparison":  "25408:1bd1dc46fdf51cfc",
+
 	// Chaos suite: digests cover the fault-injection subsystem too — an
 	// injector that drew from the primary stream or armed transitions
 	// nondeterministically would shift these.
@@ -212,17 +223,23 @@ func TestGoldenDigests(t *testing.T) {
 	}
 }
 
-// TestPinnedDCQCNRunsIgnoreCC checks that the scenarios which pin the
-// DCQCN parameters they vary keep running DCQCN under another -cc
-// algorithm: with fid.CC = "timely" each one's seed-0 run must still
-// reproduce its golden digest. Under TIMELY's capabilities CNP
-// generation is off, so a run that let fid.CC through would leave its
-// DCQCN senders without feedback and diverge.
+// TestPinnedDCQCNRunsIgnoreCC checks that the scenarios whose first
+// point pins its algorithm keep it under another -cc algorithm: with
+// fid.CC = "timely" each one's seed-0 run must still reproduce its
+// golden digest. These are the runs that compare DCQCN itself against
+// something else (the fluid model, DCTCP, a marking change, its own
+// parameter variants) and timely-comparison, which names both of its
+// algorithms. Under TIMELY's capabilities CNP generation is off, so a
+// run that let fid.CC through would leave its DCQCN senders without
+// feedback and diverge.
 func TestPinnedDCQCNRunsIgnoreCC(t *testing.T) {
 	fid := goldenFid()
 	fid.CC = "timely"
 	reg := testRegistry(t, fid)
-	for _, name := range []string{"convergence-fig13", "ablation-g", "ablation-rai", "ablation-timer", "ablation-cnp"} {
+	for _, name := range []string{
+		"fig10", "convergence-fig13", "fig19", "fig20", "timely-comparison",
+		"ablation-g", "ablation-rai", "ablation-timer", "ablation-cnp", "ablation-faststart",
+	} {
 		sc, _ := reg.Get(name)
 		res := sc.Run(harness.RunContext{Scenario: sc.Name, Point: sc.Points[0], Seed: 0})
 		if got := res.Digest.String(); got != goldenDigests[name] {

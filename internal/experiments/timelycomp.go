@@ -3,99 +3,57 @@ package experiments
 import (
 	"fmt"
 
+	"dcqcn/internal/engine"
+	"dcqcn/internal/harness"
 	"dcqcn/internal/nic"
-	"dcqcn/internal/packet"
 	"dcqcn/internal/rocev2"
 	"dcqcn/internal/simtime"
 	"dcqcn/internal/stats"
 	"dcqcn/internal/topology"
 )
 
-// TimelyComparisonResult contrasts DCQCN (ECN-based) with the TIMELY
-// baseline (delay-based) that §3.3 references: queue behaviour and
-// fairness under the same incast.
-type TimelyComparisonResult struct {
-	Protocol   string
-	QueueP50KB float64
-	QueueP99KB float64
-	// FairnessRatio is max/min of per-flow goodput (1 = perfect).
-	FairnessRatio float64
-	// Jain is Jain's fairness index (1 = perfect, 1/n = monopoly).
-	Jain      float64
-	TotalGbps float64
-}
-
-// TimelyComparison runs an 8:1 single-switch incast under DCQCN and
-// under TIMELY and reports queue percentiles, fairness and utilization.
-// Both arms are selected by registry name, so fid.CC and fid.CCParams
-// move neither row; ApplyCC gives the TIMELY arm its delay-only rig.
-func TimelyComparison(fid Fidelity) []TimelyComparisonResult {
+// timelyComparisonRun runs one 8:1 single-switch incast under the named
+// algorithm ("dcqcn" or "timely") — the contrast between ECN-based
+// DCQCN and the delay-based TIMELY baseline that §3.3 references. It
+// returns the bottleneck queue percentiles, per-flow fairness (max/min
+// goodput, 1 = perfect; Jain's index, 1 = perfect, 1/n = monopoly) and
+// the total goodput. The algorithm is selected by registry name, so
+// fid.CC and fid.CCParams do not reach the run; ApplyCC gives TIMELY
+// its delay-only rig.
+func timelyComparisonRun(algo string, run uint64, fid Fidelity) (harness.Metrics, engine.Digest) {
 	const degree = 8
-	var out []TimelyComparisonResult
-	for _, arm := range []struct{ proto, cc string }{{"DCQCN", "dcqcn"}, {"TIMELY", "timely"}} {
-		fid.CC, fid.CCParams = arm.cc, nil
-		opts := options(ModeDCQCN, 12, fid)
-		net := topology.NewStar(91, degree+1, opts)
-		open := openFlow(net)
-		recv := fmt.Sprintf("H%d", degree+1)
-		var bases []int64
-		var flows []*nic.Flow
-		for i := 1; i <= degree; i++ {
-			f := open(fmt.Sprintf("H%d", i), recv)
-			flows = append(flows, f)
-			repostLoop(f, 8*1000*1000, func(rocev2.Completion) {})
-		}
-		sw := net.Switch("SW")
-		var queue stats.Sample
-		warmEnd := simtime.Time(fid.Warmup)
-		net.Sim.Ticker(10*simtime.Microsecond, func(now simtime.Time) {
-			if now >= warmEnd {
-				queue.Add(float64(sw.EgressQueue(degree, packet.PrioData)))
-			}
-		})
-		net.Sim.At(warmEnd, func() {
-			for _, f := range flows {
-				bases = append(bases, f.Stats().BytesSent)
-			}
-		})
-		net.Sim.Run(simtime.Time(fid.Warmup + fid.Duration))
-
-		minR, maxR, total := 1e18, 0.0, 0.0
-		var rates []float64
-		for i, f := range flows {
-			r := float64(simtime.RateFromBytes(f.Stats().BytesSent-bases[i], fid.Duration))
-			rates = append(rates, r)
-			total += r
-			if r < minR {
-				minR = r
-			}
-			if r > maxR {
-				maxR = r
-			}
-		}
-		ratio := maxR / max(minR, 1)
-		out = append(out, TimelyComparisonResult{
-			Protocol:      arm.proto,
-			QueueP50KB:    queue.Median() / 1000,
-			QueueP99KB:    queue.Percentile(99) / 1000,
-			FairnessRatio: ratio,
-			Jain:          stats.JainIndex(rates),
-			TotalGbps:     gbps(total),
-		})
+	fid.CC, fid.CCParams = algo, nil
+	net := topology.NewStar(91+int64(run)*104729, degree+1, options(ModeDCQCN, 12+run*7919, fid))
+	open := openFlow(net)
+	recv := fmt.Sprintf("H%d", degree+1)
+	var bases []int64
+	var flows []*nic.Flow
+	for i := 1; i <= degree; i++ {
+		f := open(fmt.Sprintf("H%d", i), recv)
+		flows = append(flows, f)
+		repostLoop(f, 8*1000*1000, func(rocev2.Completion) {})
 	}
-	return out
-}
+	queue := sampleEgressQueue(net.Sim, net.Switch("SW"), degree, fid)
+	net.Sim.At(simtime.Time(fid.Warmup), func() {
+		for _, f := range flows {
+			bases = append(bases, f.Stats().BytesSent)
+		}
+	})
+	net.Sim.Run(simtime.Time(fid.Warmup + fid.Duration))
 
-// TimelyComparisonTable renders the comparison.
-func TimelyComparisonTable(results []TimelyComparisonResult) string {
-	t := stats.Table{Header: []string{"protocol", "queue p50 (KB)", "queue p99 (KB)", "max/min", "Jain index", "total (Gbps)"}}
-	for _, r := range results {
-		t.AddRow(r.Protocol,
-			fmt.Sprintf("%.1f", r.QueueP50KB),
-			fmt.Sprintf("%.1f", r.QueueP99KB),
-			fmt.Sprintf("%.2f", r.FairnessRatio),
-			fmt.Sprintf("%.3f", r.Jain),
-			fmt.Sprintf("%.1f", r.TotalGbps))
+	minR, maxR, total := 1e18, 0.0, 0.0
+	var rates []float64
+	for i, f := range flows {
+		r := float64(simtime.RateFromBytes(f.Stats().BytesSent-bases[i], fid.Duration))
+		rates = append(rates, r)
+		total += r
+		minR, maxR = min(minR, r), max(maxR, r)
 	}
-	return t.String()
+	return harness.Metrics{
+		"queue_p50_kb": queue.Median() / 1000,
+		"queue_p99_kb": queue.Percentile(99) / 1000,
+		"max_min":      maxR / max(minR, 1),
+		"jain":         stats.JainIndex(rates),
+		"total_gbps":   gbps(total),
+	}, net.Sim.Digest()
 }
