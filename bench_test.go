@@ -1,12 +1,12 @@
 package dcqcn
 
 // Host-cost benchmarks: raw packet-simulator and fluid-solver
-// throughput, and the sweep harness's orchestration cost at one and
-// four workers (`make bench`). They measure the simulator, not the
-// paper: `go run ./cmd/dcqcn-experiments` prints every table and figure
-// of the evaluation, `go run ./cmd/dcqcn-sweep` sweeps the registered
-// scenarios into artifacts, and cmd/dcqcn-bench measures per-event cost
-// layer by layer.
+// throughput, and the sweep harness's orchestration speedup, which the
+// BenchmarkSweep* pair alone times (`make bench`). They measure the
+// simulator, not the paper: `go run ./cmd/dcqcn-experiments` prints
+// every table and figure of the evaluation, `go run ./cmd/dcqcn-sweep`
+// sweeps the registered scenarios into artifacts, and cmd/dcqcn-bench
+// measures per-event cost layer by layer.
 
 import (
 	"testing"
@@ -87,7 +87,5 @@ func BenchmarkSweepSequential(b *testing.B) { benchSweep(b, 1) }
 // BenchmarkSweepParallel4 times the same grid at -parallel 4. The ns/op
 // ratio against BenchmarkSweepSequential is the orchestration speedup;
 // it approaches min(4, NumCPU) on idle multi-core hardware and ~1.0x on
-// a single-core machine (the runs are CPU-bound). The same comparison is
-// available end to end via `dcqcn-sweep -bench`, which records the
-// measured speedup in provenance.json.
+// a single-core machine (the runs are CPU-bound).
 func BenchmarkSweepParallel4(b *testing.B) { benchSweep(b, 4) }

@@ -6,21 +6,19 @@
 //
 //	raw_runs.jsonl   one JSON record per run (streamed as runs finish)
 //	summary.json     per-point mean/p50/p95 aggregates across seeds
-//	provenance.json  git commit, Go version, seeds, wall time, speedup
+//	provenance.json  git commit, Go version, seeds, wall time
 //
 // Usage:
 //
 //	dcqcn-sweep [-scenario name,glob*] [-parallel N] [-reruns N]
 //	            [-seeds N] [-out dir] [-full] [-check-determinism]
-//	            [-bench] [-list] [-quiet] [-record]
+//	            [-list] [-quiet] [-record]
 //	            [-cc name[,name...]] [-cc-params json] [-list-cc]
 //	            [-bg-flows N]
 //
 // -check-determinism reruns every (point, seed) at least twice and fails
 // loudly unless engine digests and metrics are bit-identical — the gate
-// that catches map-iteration or shared-RNG nondeterminism. -bench times
-// the selected grid at -parallel 1 first and records the parallel
-// speedup in provenance.json.
+// that catches map-iteration or shared-RNG nondeterminism.
 //
 // -cc selects the congestion-control algorithm(s) from the internal/cc
 // registry. With several names the whole scenario matrix runs once per
@@ -64,10 +62,9 @@ func main() {
 		full     = flag.Bool("full", false, "high-fidelity runs (slow)")
 		checkDet = flag.Bool("check-determinism", false, "rerun each (point, seed) and fail on digest mismatch")
 		seedCap  = flag.Int("seeds", 0, "cap seeds per scenario (0 = all registered)")
-		bench    = flag.Bool("bench", false, "also time the grid at -parallel 1 and record the speedup")
 		list     = flag.Bool("list", false, "list scenarios and exit")
 		quiet    = flag.Bool("quiet", false, "suppress per-run progress")
-		record   = flag.Bool("record", false, "arm the flight recorder on every run (passivity proof; recorded in provenance)")
+		record   = flag.Bool("record", false, "arm the flight recorder on every run (recorded in provenance)")
 		ccSpec   = flag.String("cc", "dcqcn", "comma-separated congestion-control algorithms (see -list-cc)")
 		ccParams = flag.String("cc-params", "", "JSON object overlaid onto the selected algorithm's default params (single -cc only)")
 		listCC   = flag.Bool("list-cc", false, "list registered cc algorithms with default params as JSON and exit")
@@ -106,9 +103,10 @@ func main() {
 
 	if *record {
 		// Armed before NewProvenance so flightrec_armed lands in the
-		// artifact. The sink is nil: the sweep keeps no recordings — the
-		// point is proving every scenario runs digest-identical with
-		// recording on (use dcqcn-replay to actually inspect a run).
+		// artifact. The sink is nil: the sweep keeps no recordings.
+		// -check-determinism compares armed reruns with each other; the
+		// recorder row of TestGoldenDigests compares armed digests with
+		// unarmed ones, and dcqcn-replay inspects a recorded run.
 		flightrec.Arm(flightrec.Config{}, nil)
 	}
 
@@ -174,21 +172,6 @@ func main() {
 		prov.CCParams = sel.ParamsJSON()
 		prov.Describe(scs)
 
-		if *bench {
-			fmt.Fprintf(os.Stderr, "timing sequential baseline (-parallel 1)...\n")
-			seqCfg := harness.Config{Parallel: 1, Reruns: *reruns}
-			if *checkDet && seqCfg.Reruns < 2 {
-				seqCfg.Reruns = 2 // match the gate's forced rerun count
-			}
-			seq, err := harness.Sweep(scs, seqCfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			prov.SequentialWallMS = float64(seq.Wall) / float64(time.Millisecond)
-			fmt.Fprintf(os.Stderr, "sequential: %.1fs\n", seq.Wall.Seconds())
-		}
-
 		cfg := harness.Config{
 			Parallel:         *parallel,
 			Reruns:           *reruns,
@@ -231,9 +214,6 @@ func main() {
 		}
 
 		prov.Record(res)
-		if prov.SequentialWallMS > 0 && prov.WallMS > 0 {
-			prov.Speedup = prov.SequentialWallMS / prov.WallMS
-		}
 
 		if !multi {
 			for _, sc := range scs {
@@ -249,11 +229,7 @@ func main() {
 			fmt.Println("invariants auditor: armed (built with -tags invariants); no violations")
 		}
 		if flightrec.Armed() {
-			fmt.Println("flight recorder: armed on every run (-record); digests unchanged by recording")
-		}
-		if prov.Speedup > 0 {
-			fmt.Printf("speedup vs sequential: %.2fx (%.1fs -> %.1fs)\n",
-				prov.Speedup, prov.SequentialWallMS/1000, prov.WallMS/1000)
+			fmt.Println("flight recorder: armed on every run (-record)")
 		}
 
 		if dir != "" {

@@ -130,7 +130,7 @@ var goldenDigests = map[string]string{
 	"randomloss":        "63473:5e5b7b804cc8d11c",
 
 	// The DCTCP rigs of fig19 and ablation-faststart are their second
-	// points, which no row reaches: `make sweep-smoke` gates their
+	// points, which no row reaches: `make smoke` gates their
 	// determinism instead.
 	"fig10":              "853277:bab478aeda1e9d79",
 	"fig17":              "381056:eeacdb58d2f8b030",

@@ -60,13 +60,9 @@ type Provenance struct {
 	Seeds     map[string][]int64 `json:"seeds"`
 	TotalRuns int                `json:"total_runs"`
 	// TotalEvents is the number of simulator events executed across all
-	// runs — the work measure behind the speedup numbers.
+	// runs — the sweep's work measure.
 	TotalEvents uint64  `json:"total_events"`
 	WallMS      float64 `json:"wall_ms"`
-	// SequentialWallMS and Speedup are filled only when the sweep was
-	// also timed at -parallel 1 (the -bench mode of cmd/dcqcn-sweep).
-	SequentialWallMS float64 `json:"sequential_wall_ms,omitempty"`
-	Speedup          float64 `json:"speedup_vs_sequential,omitempty"`
 }
 
 // NewProvenance collects the environment-derived fields. startedAt is

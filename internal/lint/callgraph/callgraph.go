@@ -143,13 +143,12 @@ type Unit struct {
 
 // observerPackages are the passive instrumentation layers whose own
 // state is exactly what hooks are supposed to write: the flight
-// recorder, the invariant auditor, tracing, statistics and the hook
+// recorder, the invariant auditor, statistics and the hook
 // combinators themselves. Matched by final path element so fixture
 // packages mimic them by directory name.
 var observerPackages = map[string]bool{
 	"flightrec": true,
 	"invariant": true,
-	"trace":     true,
 	"stats":     true,
 	"hooks":     true,
 }

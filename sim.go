@@ -12,7 +12,6 @@ import (
 	"dcqcn/internal/rocev2"
 	"dcqcn/internal/simtime"
 	"dcqcn/internal/topology"
-	"dcqcn/internal/trace"
 )
 
 // Options configures network construction. Obtain a baseline from
@@ -151,7 +150,8 @@ func (n *Network) Digest() string { return n.net.Sim.Digest().String() }
 func (n *Network) At(t Time, fn func()) { n.net.Sim.At(t, fn) }
 
 // Every invokes fn every period until the returned stop function is
-// called — the sampling primitive for rate and queue time series.
+// called — the facade's one sampling primitive, for rate and queue time
+// series (dcqcn-sim -series samples through it).
 func (n *Network) Every(period Duration, fn func(now Time)) (stop func()) {
 	return n.net.Sim.Ticker(period, fn)
 }
@@ -269,35 +269,6 @@ func (n *Network) UplinkOf(switchName string, f *Flow) int {
 	}
 	return port
 }
-
-// Recorder samples named gauges periodically for CSV export — how the
-// repository's time-series figures are produced.
-type Recorder struct {
-	inner *trace.Recorder
-}
-
-// NewRecorder creates a recorder on this network's clock sampling every
-// period. Register gauges, then Start it.
-func (n *Network) NewRecorder(period Duration) *Recorder {
-	return &Recorder{inner: trace.NewRecorder(n.net.Sim, period)}
-}
-
-// Gauge registers a quantity to sample (before Start).
-func (r *Recorder) Gauge(name string, fn func() float64) { r.inner.Gauge(name, fn) }
-
-// GaugeRate registers a flow's paced rate in Gb/s.
-func (r *Recorder) GaugeRate(name string, f *Flow) {
-	r.inner.Gauge(name, func() float64 { return float64(f.CurrentRate()) / 1e9 })
-}
-
-// Start begins sampling; Stop ends it.
-func (r *Recorder) Start() { r.inner.Start() }
-
-// Stop ends sampling.
-func (r *Recorder) Stop() { r.inner.Stop() }
-
-// WriteCSV emits all series as a CSV table.
-func (r *Recorder) WriteCSV(w io.Writer) error { return r.inner.WriteCSV(w) }
 
 // FlightRecorder is the facade over internal/flightrec: a passive,
 // bounded-memory ring of typed simulation events (queue transitions,
