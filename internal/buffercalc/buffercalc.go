@@ -96,11 +96,37 @@ func (s SwitchSpec) StaticPFCThreshold() int64 {
 // β(B − 8·n·t_flight − occupied)/8. A larger β tolerates longer ingress
 // queues while the buffer is empty.
 func (s SwitchSpec) DynamicPFCThreshold(beta float64, occupied int64) int64 {
-	free := s.usable() - occupied
+	return dynamicPFCThreshold(s.usable(), s.Priorities, beta, occupied)
+}
+
+// DynamicPFC is DynamicPFCThreshold with the spec's usable buffer
+// computed once, for a switch that evaluates the threshold on every
+// admission and departure. Its thresholds are exactly
+// DynamicPFCThreshold's.
+type DynamicPFC struct {
+	usable     int64
+	priorities int
+}
+
+// DynamicPFC precomputes the usable buffer of the spec.
+func (s SwitchSpec) DynamicPFC() DynamicPFC {
+	return DynamicPFC{usable: s.usable(), priorities: s.Priorities}
+}
+
+// Threshold returns DynamicPFCThreshold(beta, occupied) of the spec d
+// was built from.
+func (d DynamicPFC) Threshold(beta float64, occupied int64) int64 {
+	return dynamicPFCThreshold(d.usable, d.priorities, beta, occupied)
+}
+
+// dynamicPFCThreshold is the threshold formula: β·max(usable −
+// occupied, 0)/priorities.
+func dynamicPFCThreshold(usable int64, priorities int, beta float64, occupied int64) int64 {
+	free := usable - occupied
 	if free < 0 {
 		free = 0
 	}
-	return int64(beta * float64(free) / float64(s.Priorities))
+	return int64(beta * float64(free) / float64(priorities))
 }
 
 // NaiveECNBound returns the t_ECN bound without dynamic thresholds:

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dcqcn/internal/packet"
+	"dcqcn/internal/simtest"
 )
 
 // BenchmarkDCTCPOnAck measures one ACK-echo delivery into the
@@ -40,7 +41,7 @@ func BenchmarkPolicyOnAck(b *testing.B) {
 // the linear cut map plus the RP's CutRate (timer re-arm included).
 func BenchmarkSwitchAssistOnHint(b *testing.B) {
 	b.ReportAllocs()
-	c := NewSwitchAssist(*switchAssistDefaults(testLineRate).(*SwitchAssistParams), &fakeClock{})
+	c := NewSwitchAssist(*switchAssistDefaults(testLineRate).(*SwitchAssistParams), &simtest.Clock{})
 	defer c.Stop()
 	h := SwitchHint{QueueBytes: 300 * 1000}
 	b.ResetTimer()

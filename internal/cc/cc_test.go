@@ -6,19 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"dcqcn/internal/simtest"
 	"dcqcn/internal/simtime"
 )
-
-// fakeClock is a minimal manual core.Clock for constructing controllers.
-type fakeClock struct {
-	now simtime.Time
-}
-
-func (c *fakeClock) Now() simtime.Time { return c.now }
-
-func (c *fakeClock) After(d simtime.Duration, fn func()) func() {
-	return func() {}
-}
 
 const testLineRate = 40 * simtime.Gbps
 
@@ -57,7 +47,7 @@ func TestRegistryDefaults(t *testing.T) {
 				t.Fatalf("defaults do not validate: %v", err)
 			}
 			caps := sel.Caps()
-			ctrl := sel.Algorithm.New(sel.Params, &fakeClock{})
+			ctrl := sel.Algorithm.New(sel.Params, &simtest.Clock{})
 			if ctrl == nil {
 				t.Fatal("New returned nil")
 			}

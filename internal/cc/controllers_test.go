@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dcqcn/internal/packet"
+	"dcqcn/internal/simtest"
 	"dcqcn/internal/simtime"
 )
 
@@ -86,7 +87,7 @@ func TestDCTCPRateListener(t *testing.T) {
 func TestSwitchAssistHintCut(t *testing.T) {
 	p := *switchAssistDefaults(testLineRate).(*SwitchAssistParams)
 	cut := func(q int64) float64 {
-		c := NewSwitchAssist(p, &fakeClock{})
+		c := NewSwitchAssist(p, &simtest.Clock{})
 		defer c.Stop()
 		before := c.Rate()
 		c.OnSwitchHint(SwitchHint{QueueBytes: q})
@@ -106,7 +107,7 @@ func TestSwitchAssistHintCut(t *testing.T) {
 	if got, want := cut(mid), (p.MinCut+p.MaxCut)/2; !approx(got, want) {
 		t.Errorf("cut at midpoint = %g, want %g", got, want)
 	}
-	c := NewSwitchAssist(p, &fakeClock{})
+	c := NewSwitchAssist(p, &simtest.Clock{})
 	defer c.Stop()
 	c.OnCNP() // must be ignored: hints replace CNPs
 	if c.Rate() != testLineRate {
@@ -235,7 +236,7 @@ func TestUnwrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := sel.Algorithm.New(sel.Params, &fakeClock{})
+	ctrl := sel.Algorithm.New(sel.Params, &simtest.Clock{})
 	defer ctrl.Stop()
 	inner := Unwrap(ctrl)
 	if inner == ctrl {

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"dcqcn/internal/simtest"
 	"dcqcn/internal/simtime"
 )
 
@@ -38,7 +39,7 @@ func FuzzRPEventSequences(f *testing.F) {
 		if len(ops) > 256 {
 			t.Skip()
 		}
-		clock := &fakeClock{}
+		clock := &simtest.Clock{}
 		p := DefaultParams()
 		rp := NewRP(p, clock)
 		for _, op := range ops {
@@ -48,7 +49,7 @@ func FuzzRPEventSequences(f *testing.F) {
 			case 1:
 				rp.OnBytesSent(p.ByteCounter / 2)
 			case 2:
-				clock.advance(p.RateTimer)
+				clock.Advance(p.RateTimer)
 			}
 			if rp.Rate() < p.MinRate || rp.Rate() > p.LineRate {
 				t.Fatalf("rate %v out of bounds after op %d", rp.Rate(), op%3)

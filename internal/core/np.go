@@ -14,12 +14,11 @@ import "dcqcn/internal/simtime"
 // does no work per marked packet beyond setting a flag.
 type NP struct {
 	params Params
-	clock  Clock
 	send   func() // emits one CNP toward the flow's sender
 
-	active      bool // a CNP window is open (timer armed)
-	markedSeen  bool // a marked packet arrived in the current window
-	cancelTimer func()
+	active     bool  // a CNP window is open (timer armed)
+	markedSeen bool  // a marked packet arrived in the current window
+	window     Timer // closes the CNP window; bound once, in NewNP
 
 	// CNPsSent and MarkedPackets count activity for experiment reports.
 	CNPsSent      int64
@@ -29,7 +28,9 @@ type NP struct {
 // NewNP creates the per-flow NP machine. send is invoked (synchronously)
 // each time a CNP must be emitted.
 func NewNP(params Params, clock Clock, send func()) *NP {
-	return &NP{params: params, clock: clock, send: send}
+	n := &NP{params: params, send: send}
+	n.window = NewTimer(clock, n.windowExpired)
+	return n
 }
 
 // OnPacket feeds an arriving data packet's CE mark into the machine.
@@ -52,10 +53,7 @@ func (n *NP) OnPacket(ceMarked bool) {
 
 // Stop cancels any pending window timer; call when the flow is torn down.
 func (n *NP) Stop() {
-	if n.cancelTimer != nil {
-		n.cancelTimer()
-		n.cancelTimer = nil
-	}
+	n.window.Stop()
 	n.active = false
 	n.markedSeen = false
 }
@@ -65,11 +63,10 @@ func (n *NP) emit() {
 	n.send()
 	n.active = true
 	n.markedSeen = false
-	n.cancelTimer = n.clock.After(n.params.CNPInterval, n.windowExpired)
+	n.window.Reset(n.params.CNPInterval)
 }
 
 func (n *NP) windowExpired() {
-	n.cancelTimer = nil
 	if n.markedSeen {
 		// Marked traffic arrived during the window: one CNP, next window.
 		n.emit()

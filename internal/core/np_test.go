@@ -3,11 +3,12 @@ package core
 import (
 	"testing"
 
+	"dcqcn/internal/simtest"
 	"dcqcn/internal/simtime"
 )
 
-func newNPUnderTest() (*NP, *fakeClock, *int) {
-	clock := &fakeClock{}
+func newNPUnderTest() (*NP, *simtest.Clock, *int) {
+	clock := &simtest.Clock{}
 	sent := 0
 	np := NewNP(DefaultParams(), clock, func() { sent++ })
 	return np, clock, &sent
@@ -33,14 +34,14 @@ func TestNPRateLimiting(t *testing.T) {
 	np.OnPacket(true) // CNP #1, opens 50us window
 	// A storm of marked packets inside the window yields no extra CNPs...
 	for i := 0; i < 100; i++ {
-		clock.advance(100 * simtime.Nanosecond)
+		clock.Advance(100 * simtime.Nanosecond)
 		np.OnPacket(true)
 	}
 	if *sent != 1 {
 		t.Fatalf("sent %d CNPs inside window, want 1", *sent)
 	}
 	// ...but exactly one more when the window closes.
-	clock.advance(50 * simtime.Microsecond)
+	clock.Advance(50 * simtime.Microsecond)
 	if *sent != 2 {
 		t.Fatalf("sent %d CNPs after window, want 2", *sent)
 	}
@@ -51,10 +52,10 @@ func TestNPQuietWindowResets(t *testing.T) {
 	np.OnPacket(true)
 	// Unmarked traffic only during the window: no CNP at expiry.
 	for i := 0; i < 10; i++ {
-		clock.advance(simtime.Microsecond)
+		clock.Advance(simtime.Microsecond)
 		np.OnPacket(false)
 	}
-	clock.advance(60 * simtime.Microsecond)
+	clock.Advance(60 * simtime.Microsecond)
 	if *sent != 1 {
 		t.Fatalf("sent %d CNPs, want 1 (quiet window)", *sent)
 	}
@@ -74,7 +75,7 @@ func TestNPSteadyMarkingRate(t *testing.T) {
 	interval := np.Interval()
 	for i := 0; i < 1000; i++ {
 		np.OnPacket(true)
-		clock.advance(interval / 10)
+		clock.Advance(interval / 10)
 	}
 	// 1000 packets over 100 intervals: expect ~101 CNPs (first + one per
 	// full window).
@@ -94,11 +95,11 @@ func TestNPStop(t *testing.T) {
 	np.OnPacket(true)
 	np.OnPacket(true) // pending mark inside window
 	np.Stop()
-	clock.advance(simtime.Second)
+	clock.Advance(simtime.Second)
 	if *sent != 1 {
 		t.Fatalf("CNP emitted after Stop: %d", *sent)
 	}
-	if clock.pending() != 0 {
-		t.Fatalf("%d timers still pending after Stop", clock.pending())
+	if clock.Pending() != 0 {
+		t.Fatalf("%d timers still pending after Stop", clock.Pending())
 	}
 }

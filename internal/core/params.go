@@ -148,8 +148,8 @@ func (p Params) Validate() error {
 }
 
 // Clock abstracts the timer facility the NP and RP state machines need.
-// The simulator's engine satisfies it via a one-line adapter; tests can
-// use a manual clock.
+// nic.Clock adapts the simulation engine to it, and also implements
+// Scheduler; simtest.Clock is the manual clock unit tests use.
 type Clock interface {
 	// Now returns the current time.
 	Now() simtime.Time

@@ -36,7 +36,6 @@ type RPStats struct {
 // flows) is reset.
 type RP struct {
 	params Params
-	clock  Clock
 
 	// OnRateChange, if set, is invoked after every change of the current
 	// rate so the NIC can re-arm its pacing engine.
@@ -49,21 +48,26 @@ type RP struct {
 	bcStage    int   // byte-counter-driven stages since last cut
 	byteBudget int64 // bytes accumulated toward the next byte-counter event
 
-	cancelRateTimer  func()
-	cancelAlphaTimer func()
+	// rateTimer drives the time-based increase stages and alphaTimer the
+	// Eq. (2) decay; both continuations are bound once, in NewRP, so the
+	// re-arm on every CNP and every expiry allocates nothing.
+	rateTimer  Timer
+	alphaTimer Timer
 
 	Stats RPStats
 }
 
 // NewRP creates a reaction point. params must be valid.
 func NewRP(params Params, clock Clock) *RP {
-	return &RP{
+	r := &RP{
 		params: params,
-		clock:  clock,
 		rc:     params.LineRate,
 		rt:     params.LineRate,
 		alpha:  1,
 	}
+	r.rateTimer = NewTimer(clock, r.onRateTimer)
+	r.alphaTimer = NewTimer(clock, r.onAlphaTimer)
+	return r
 }
 
 // Rate returns the rate the NIC may currently send this flow at.
@@ -87,7 +91,7 @@ func (r *RP) OnCNP() {
 	r.Stats.CNPs++
 	r.CutRate(r.alpha / 2)
 	r.alpha = (1-r.params.G)*r.alpha + r.params.G
-	r.armAlphaTimer()
+	r.alphaTimer.Reset(r.params.AlphaTimer)
 }
 
 // CutRate is the congestion-reaction primitive shared with the QCN
@@ -107,7 +111,7 @@ func (r *RP) CutRate(frac float64) {
 	r.rt = r.rc
 	r.setRC(r.rc * simtime.Rate(1-frac))
 	r.tStage, r.bcStage, r.byteBudget = 0, 0, 0
-	r.armRateTimer()
+	r.rateTimer.Reset(r.params.RateTimer)
 }
 
 // OnBytesSent informs the RP that the NIC transmitted n bytes of this
@@ -142,46 +146,30 @@ func (r *RP) deactivate(count bool) {
 	if count {
 		r.Stats.Deactivations++
 	}
-	if r.cancelRateTimer != nil {
-		r.cancelRateTimer()
-		r.cancelRateTimer = nil
-	}
-	if r.cancelAlphaTimer != nil {
-		r.cancelAlphaTimer()
-		r.cancelAlphaTimer = nil
-	}
+	r.rateTimer.Stop()
+	r.alphaTimer.Stop()
 	r.rc, r.rt, r.alpha = r.params.LineRate, r.params.LineRate, 1
 }
 
-func (r *RP) armRateTimer() {
-	if r.cancelRateTimer != nil {
-		r.cancelRateTimer()
+func (r *RP) onRateTimer() {
+	if !r.active {
+		return
 	}
-	r.cancelRateTimer = r.clock.After(r.params.RateTimer, func() {
-		if !r.active {
-			return
-		}
-		r.tStage++
-		r.increase()
-		if r.active {
-			r.armRateTimer()
-		}
-	})
+	r.tStage++
+	r.increase()
+	if r.active {
+		r.rateTimer.Reset(r.params.RateTimer)
+	}
 }
 
-func (r *RP) armAlphaTimer() {
-	if r.cancelAlphaTimer != nil {
-		r.cancelAlphaTimer()
+func (r *RP) onAlphaTimer() {
+	if !r.active {
+		return
 	}
-	r.cancelAlphaTimer = r.clock.After(r.params.AlphaTimer, func() {
-		if !r.active {
-			return
-		}
-		// Eq. (2): no CNP for a full alpha interval.
-		r.alpha *= 1 - r.params.G
-		r.Stats.AlphaDecays++
-		r.armAlphaTimer()
-	})
+	// Eq. (2): no CNP for a full alpha interval.
+	r.alpha *= 1 - r.params.G
+	r.Stats.AlphaDecays++
+	r.alphaTimer.Reset(r.params.AlphaTimer)
 }
 
 // increase executes one rate-increase event per Fig. 7 / Eqs. (3)-(4).

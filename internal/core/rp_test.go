@@ -4,11 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"dcqcn/internal/simtest"
 	"dcqcn/internal/simtime"
 )
 
-func newRPUnderTest(p Params) (*RP, *fakeClock) {
-	clock := &fakeClock{}
+func newRPUnderTest(p Params) (*RP, *simtest.Clock) {
+	clock := &simtest.Clock{}
 	return NewRP(p, clock), clock
 }
 
@@ -94,7 +95,7 @@ func TestRPFastRecoveryViaTimer(t *testing.T) {
 	// Each of the first F-1 timer events (stages 1..4 < F=5) halves the
 	// gap to the target without moving the target.
 	for stage := 1; stage < p.F; stage++ {
-		clock.advance(p.RateTimer)
+		clock.Advance(p.RateTimer)
 		rc = (rt + rc) / 2
 		if !rateClose(rp.Rate(), simtime.Rate(rc)) {
 			t.Fatalf("FR stage %d: rate %v, want %v", stage, rp.Rate(), simtime.Rate(rc))
@@ -115,7 +116,7 @@ func TestRPAdditiveIncreaseAfterF(t *testing.T) {
 	// Stages 1..4 are fast recovery; stage 5 (== F) enters additive
 	// increase since max(T,BC)=5 is not < 5 and min=0 is not > 5.
 	for stage := 1; stage <= p.F; stage++ {
-		clock.advance(p.RateTimer)
+		clock.Advance(p.RateTimer)
 	}
 	if rp.Stats.AdditiveInc != 1 {
 		t.Fatalf("additive events %d, want 1 at stage F", rp.Stats.AdditiveInc)
@@ -163,7 +164,7 @@ func TestRPHyperIncreaseWhenBothPassF(t *testing.T) {
 	rp.OnCNP() // cut twice so recovery has headroom
 	// Drive both counters past F.
 	for i := 0; i < p.F+1; i++ {
-		clock.advance(p.RateTimer)
+		clock.Advance(p.RateTimer)
 		rp.OnBytesSent(p.ByteCounter)
 	}
 	if rp.Stats.HyperInc == 0 {
@@ -176,12 +177,12 @@ func TestRPAlphaDecay(t *testing.T) {
 	rp, clock := newRPUnderTest(p)
 	rp.OnCNP()
 	alpha := rp.Alpha()
-	clock.advance(p.AlphaTimer)
+	clock.Advance(p.AlphaTimer)
 	want := alpha * (1 - p.G)
 	if math.Abs(rp.Alpha()-want) > 1e-12 {
 		t.Fatalf("alpha after one idle interval %g, want %g", rp.Alpha(), want)
 	}
-	clock.advance(10 * p.AlphaTimer)
+	clock.Advance(10 * p.AlphaTimer)
 	if rp.Alpha() >= want {
 		t.Fatal("alpha did not keep decaying")
 	}
@@ -197,7 +198,7 @@ func TestRPRecoversToLineRateAndDeactivates(t *testing.T) {
 	// With fast recovery halving the gap and additive increase afterwards,
 	// the flow must eventually return to line rate and release the
 	// limiter. Simulate a long quiet period.
-	clock.advance(simtime.Duration(10) * simtime.Second / 10) // 1s
+	clock.Advance(simtime.Duration(10) * simtime.Second / 10) // 1s
 	if rp.Active() {
 		t.Fatalf("RP still active after 1s quiet (rate %v)", rp.Rate())
 	}
@@ -207,8 +208,8 @@ func TestRPRecoversToLineRateAndDeactivates(t *testing.T) {
 	if rp.Stats.Deactivations != 1 {
 		t.Fatalf("deactivations %d, want 1", rp.Stats.Deactivations)
 	}
-	if clock.pending() != 0 {
-		t.Fatalf("%d timers leaked after deactivation", clock.pending())
+	if clock.Pending() != 0 {
+		t.Fatalf("%d timers leaked after deactivation", clock.Pending())
 	}
 	// Alpha resets for the next congestion episode.
 	if rp.Alpha() != 1 {
@@ -225,7 +226,7 @@ func TestRPRateChangeHook(t *testing.T) {
 	if len(changes) != 1 || !rateClose(changes[0], p.LineRate/2) {
 		t.Fatalf("hook after cut: %v", changes)
 	}
-	clock.advance(p.RateTimer)
+	clock.Advance(p.RateTimer)
 	if len(changes) != 2 || changes[1] <= changes[0] {
 		t.Fatalf("hook after increase: %v", changes)
 	}
@@ -239,9 +240,9 @@ func TestRPStop(t *testing.T) {
 	if rp.Active() {
 		t.Fatal("active after Stop")
 	}
-	clock.advance(simtime.Duration(simtime.Second))
-	if clock.pending() != 0 {
-		t.Fatalf("%d timers pending after Stop", clock.pending())
+	clock.Advance(simtime.Duration(simtime.Second))
+	if clock.Pending() != 0 {
+		t.Fatalf("%d timers pending after Stop", clock.Pending())
 	}
 }
 

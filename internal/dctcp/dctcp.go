@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"dcqcn/internal/engine"
+	"dcqcn/internal/eventq"
 	"dcqcn/internal/link"
 	"dcqcn/internal/packet"
 	"dcqcn/internal/simtime"
@@ -144,14 +145,16 @@ type sender struct {
 	ackedTotal  int64 // ACKs in current window
 	ackedMarked int64 // ECE-marked ACKs in current window
 
-	rtoEvent   *timerHandle
+	// rto is the pending retransmission timeout and onRTO its
+	// continuation, bound once in StartTransfer, so re-arming it on
+	// every ACK allocates nothing.
+	rto        eventq.Handle
+	onRTO      func()
 	startedAt  simtime.Time
 	onComplete func()
 
 	stats SenderStats
 }
-
-type timerHandle struct{ cancel func() }
 
 // Flow is the public handle to a DCTCP transfer.
 type Flow struct{ s *sender }
@@ -188,6 +191,7 @@ func (h *Host) StartTransfer(dst packet.NodeID, size int64, onComplete func()) *
 		s.ssthresh = h.cfg.MaxCwnd
 	}
 	s.windowEnd = int64(s.cwnd)
+	s.onRTO = s.timeout
 	h.nextPort++
 	h.flows[id] = s
 	s.pump()
@@ -211,21 +215,19 @@ func (s *sender) pump() {
 }
 
 func (s *sender) armRTO() {
-	if s.rtoEvent != nil {
-		s.rtoEvent.cancel()
-		s.rtoEvent = nil
-	}
+	s.host.sim.Cancel(s.rto)
 	if s.acked >= s.endPSN {
 		return
 	}
-	ev := s.host.sim.After(s.host.cfg.RTO, func() {
-		s.stats.Timeouts++
-		// Go-back-N with a conservative window reset.
-		s.nextPSN = s.acked
-		s.cwnd = s.host.cfg.InitCwnd
-		s.pump()
-	})
-	s.rtoEvent = &timerHandle{cancel: func() { s.host.sim.Cancel(ev) }}
+	s.rto = s.host.sim.After(s.host.cfg.RTO, s.onRTO)
+}
+
+// timeout is the RTO expiry: go-back-N with a conservative window reset.
+func (s *sender) timeout() {
+	s.stats.Timeouts++
+	s.nextPSN = s.acked
+	s.cwnd = s.host.cfg.InitCwnd
+	s.pump()
 }
 
 // onAck processes a cumulative ACK with its ECN echo.
@@ -272,10 +274,7 @@ func (s *sender) onAck(psn int64, ece bool) {
 	}
 
 	if s.acked >= s.endPSN {
-		if s.rtoEvent != nil {
-			s.rtoEvent.cancel()
-			s.rtoEvent = nil
-		}
+		s.host.sim.Cancel(s.rto)
 		if !s.stats.Done {
 			s.stats.Done = true
 			s.stats.CompletedAt = s.host.sim.Now()

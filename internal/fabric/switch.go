@@ -89,6 +89,9 @@ type Switch struct {
 
 	sim *engine.Sim
 	cfg Config
+	// pfc is the dynamic PAUSE threshold with the spec's usable buffer
+	// (B less all headroom) computed once, at New.
+	pfc buffercalc.DynamicPFC
 	cp  *core.CP
 	// markRng drives probabilistic ECN marking. Each switch owns a
 	// private stream (derived from the simulation seed and the switch
@@ -115,13 +118,15 @@ type Switch struct {
 
 	// Sampler, if set, observes data packets at egress enqueue time and
 	// may return a feedback packet (used by the QCN baseline); the switch
-	// routes the feedback like any other packet.
+	// routes the feedback like any other packet. It must not keep the
+	// data packet after returning (see link.Port's hook contract).
 	Sampler func(p *packet.Packet, egressQueueBytes int64) *packet.Packet
 
 	// OnDrop, if set, observes every admission-time tail drop (buffer
-	// overflow or egress-alpha limit) after the drop counters update.
-	// Strictly passive, same contract as link.Port.OnRx: observers must
-	// not schedule events, draw randomness, or mutate the packet.
+	// overflow or egress-alpha limit) after the drop counters update,
+	// just before the packet is released. Strictly passive, same
+	// contract as link.Port.OnRx: observers must not schedule events,
+	// draw randomness, mutate the packet, or keep it.
 	OnDrop func(p *packet.Packet, inPort int)
 	// OnMark, if set, observes every CE mark this switch applies, with
 	// the egress port the marked packet is heading out of. Strictly
@@ -165,6 +170,7 @@ func New(sim *engine.Sim, id packet.NodeID, name string, nPorts int, cfg Config)
 		ID:      id,
 		sim:     sim,
 		cfg:     cfg,
+		pfc:     cfg.Spec.DynamicPFC(),
 		cp:      core.NewCP(cfg.Marking, markRng.Float64),
 		markRng: markRng,
 		routes:  make(map[packet.NodeID][]int),
@@ -305,7 +311,7 @@ func (s *Switch) pfcThreshold() int64 {
 	if s.cfg.StaticPFCThreshold > 0 {
 		return s.cfg.StaticPFCThreshold
 	}
-	return s.cfg.Spec.DynamicPFCThreshold(s.cfg.Beta, s.effOccupied())
+	return s.pfc.Threshold(s.cfg.Beta, s.effOccupied())
 }
 
 // HandlePacket implements link.Receiver: the switch forwarding pipeline.
@@ -324,6 +330,7 @@ func (s *Switch) HandlePacket(p *packet.Packet, in *link.Port) {
 		if s.OnDrop != nil {
 			s.OnDrop(p, in.Index)
 		}
+		p.Release()
 		return
 	}
 	if !s.cfg.PFCEnabled && s.cfg.EgressAlpha > 0 {
@@ -336,6 +343,7 @@ func (s *Switch) HandlePacket(p *packet.Packet, in *link.Port) {
 				if s.OnDrop != nil {
 					s.OnDrop(p, in.Index)
 				}
+				p.Release()
 				return
 			}
 		}

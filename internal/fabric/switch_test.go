@@ -257,3 +257,32 @@ func TestIngressAccounting(t *testing.T) {
 		t.Fatal("high-water mark never recorded")
 	}
 }
+
+// TestPrecomputedPFCThreshold: the threshold the switch evaluates from
+// the usable buffer it computed once at New equals the spec's
+// DynamicPFCThreshold, which recomputes the headroom every call, over a
+// grid of β and occupancy — occupancy past the usable buffer (threshold
+// 0) and past the whole buffer included — and for a second geometry.
+func TestPrecomputedPFCThreshold(t *testing.T) {
+	small := DefaultConfig()
+	small.Spec.Ports, small.Spec.BufferBytes, small.Spec.CableDelay = 8, 4*1000*1000, 2*simtime.Microsecond
+	for _, cfg := range []Config{DefaultConfig(), small} {
+		sw := New(engine.New(1), 1, "sw", 2, cfg)
+		spec := cfg.Spec
+		usable := spec.BufferBytes - int64(spec.Priorities*spec.Ports)*spec.Headroom()
+		occupancies := []int64{0, 1, 1500, usable / 3, usable - 1, usable, usable + 1, spec.BufferBytes, 2 * spec.BufferBytes}
+		for _, beta := range []float64{0.25, 1, 1.5, 2, 8, 16, 64} {
+			sw.SetBeta(beta)
+			for _, occ := range occupancies {
+				sw.occupied = occ
+				want := spec.DynamicPFCThreshold(beta, occ)
+				if got := sw.pfcThreshold(); got != want {
+					t.Errorf("buffer %d, β=%v, occupied %d: threshold %d, want %d", spec.BufferBytes, beta, occ, got, want)
+				}
+				if occ >= usable && want != 0 {
+					t.Errorf("buffer %d, β=%v, occupied %d ≥ usable %d: threshold %d, want 0", spec.BufferBytes, beta, occ, usable, want)
+				}
+			}
+		}
+	}
+}

@@ -7,7 +7,10 @@
 // first (attach order) and the new one after. Hooks composed this way
 // stay strictly passive by contract: subscribers must not schedule
 // events, draw randomness, or mutate the observed values, so chaining
-// order can never change model behaviour — only observer behaviour.
+// order can never change model behaviour — only observer behaviour. A
+// packet passed to a subscriber is lent for the call only: it returns
+// to its device's pool at its last use (see package packet), so a
+// subscriber copies what it needs and never keeps the pointer.
 package hooks
 
 // Chain returns a callback invoking prev (if non-nil) then next. Use it

@@ -78,6 +78,9 @@ type Port struct {
 	// one transmission is outstanding, so a single slot suffices.
 	txPkt  *packet.Packet
 	txDone func()
+	// pool is the free list of the PFC frames this port sends; the peer
+	// port releases each one after acting on it.
+	pool packet.Pool
 	// pauseExpire holds one pre-bound re-arm continuation per priority,
 	// created at construction, so receiving an XOFF frame does not
 	// allocate a fresh closure per PFC event.
@@ -91,17 +94,24 @@ type Port struct {
 	drrNext    int
 	drrServing bool
 
+	// Every packet hook below lends its callee the packet for the call
+	// only: the callee must not keep the pointer after it returns,
+	// because the packet goes back to the pool of the device that built
+	// it at its last use and is then rebuilt as another packet. Copy the
+	// fields an observer needs during the call.
+
 	// OnDeparture, if set, runs when a packet's last bit leaves the port.
 	// Switches use it to release shared-buffer accounting.
 	OnDeparture func(p *packet.Packet)
 	// OnPFC, if set, observes PFC frames this port receives (after the
-	// pause state has been updated); used for experiment counters.
+	// pause state has been updated); used for experiment counters. The
+	// frame is released right after it returns.
 	OnPFC func(p *packet.Packet)
 	// OnRx, if set, observes every packet whose last bit arrives at this
 	// port, before any processing — including PFC frames the port
 	// consumes itself. It is a strictly passive tap (the invariant
 	// auditor's attachment point): implementations must not schedule
-	// events, draw randomness, or mutate the packet.
+	// events, draw randomness, mutate the packet, or keep it.
 	OnRx func(p *packet.Packet)
 	// OnEnqueue, if set, observes every packet entering an egress FIFO of
 	// this port, before the scheduler is kicked. Strictly passive, same
@@ -199,11 +209,12 @@ func (p *Port) ChainOnEnqueue(fn func(*packet.Packet)) {
 }
 
 // SendPFC transmits an XOFF (on=true) or XON PFC frame for prio. The
-// frame is queued at the highest priority class, ahead of all data.
+// frame is queued at the highest priority class, ahead of all data, and
+// comes from the port's pool.
 //
 //hot:path
 func (p *Port) SendPFC(prio uint8, on bool) {
-	pfc := packet.NewPFC(prio, on)
+	pfc := p.pool.NewPFC(prio, on)
 	if on {
 		p.Stats.PauseTx++
 	} else {
@@ -358,6 +369,7 @@ func (p *Port) receive(pkt *packet.Packet) {
 		if p.OnPFC != nil {
 			p.OnPFC(pkt)
 		}
+		pkt.Release()
 	case packet.Resume:
 		p.Stats.ResumeRx++
 		prio := pkt.PausePrio
@@ -368,6 +380,7 @@ func (p *Port) receive(pkt *packet.Packet) {
 		if p.OnPFC != nil {
 			p.OnPFC(pkt)
 		}
+		pkt.Release()
 		p.kick()
 	default:
 		p.recv.HandlePacket(pkt, p)
@@ -417,6 +430,8 @@ func (r DropReason) String() string {
 type Link struct {
 	a, b  *Port
 	delay simtime.Duration
+	// sim builds the loss streams on the first SetLossRate(p > 0).
+	sim *engine.Sim
 
 	// dirID gives each direction a topology-wide identity (allocated in
 	// construction order), and dirSeq numbers the frames entering the
@@ -443,7 +458,10 @@ type Link struct {
 	// failure (a misbehaving device) rather than bit errors. Each
 	// direction draws from its own stream (seeded from the simulation
 	// seed and the direction ID) so loss decisions do not depend on how
-	// events interleave across the rest of the fabric.
+	// events interleave across the rest of the fabric. The streams are
+	// built on the first positive SetLossRate: nothing draws from them
+	// at rate zero, and seeding a math/rand source is the costliest step
+	// of Connect.
 	lossRate float64
 	lossRng  [2]*rand.Rand
 	//acct: frames dropped by random loss, per direction
@@ -465,13 +483,15 @@ type Link struct {
 	// (after the down check, before random loss); returning true drops
 	// the frame. The fault-injection subsystem uses it for targeted,
 	// auxiliary-RNG-driven loss and corruption, so the simulation's
-	// primary random stream stays untouched.
+	// primary random stream stays untouched. Like every packet hook it
+	// must not keep the packet.
 	DropHook func(from *Port, pkt *packet.Packet) bool
 	// OnDrop, if set, observes every frame the link destroys — down
 	// links, DropHook decisions, random loss and flap-epoch kills —
-	// after the corresponding counters are updated. Strictly passive
-	// (same contract as Port.OnRx); unlike DropHook it cannot influence
-	// the outcome, so observers and the fault injector never conflict.
+	// after the corresponding counters are updated, just before the frame
+	// is released. Strictly passive (same contract as Port.OnRx, keeping
+	// the packet included); unlike DropHook it cannot influence the
+	// outcome, so observers and the fault injector never conflict.
 	OnDrop func(from *Port, pkt *packet.Packet, reason DropReason)
 	//acct: frames dropped by injected faults on entry (down links, DropHook), per direction
 	entryFaultDrops [2]int64
@@ -488,8 +508,8 @@ type Link struct {
 }
 
 // Connect wires ports a and b with the given one-way propagation delay.
-// Both ports must be unconnected. sim allocates the direction IDs and
-// loss streams.
+// Both ports must be unconnected. sim allocates the direction IDs, and
+// builds the loss streams if SetLossRate ever turns loss on.
 func Connect(sim *engine.Sim, a, b *Port, delay simtime.Duration) *Link {
 	if a.Connected() || b.Connected() {
 		panic("link: port already connected")
@@ -497,10 +517,9 @@ func Connect(sim *engine.Sim, a, b *Port, delay simtime.Duration) *Link {
 	if delay < 0 {
 		panic("link: negative propagation delay")
 	}
-	l := &Link{a: a, b: b, delay: delay}
+	l := &Link{a: a, b: b, delay: delay, sim: sim}
 	for d := range l.dirID {
 		l.dirID[d] = sim.NextID()
-		l.lossRng[d] = sim.NewStream(lossStreamSeed(sim.Seed(), l.dirID[d]))
 		l.arrive[d] = func(pkt any) { l.arrival(d, pkt.(*packet.Packet)) }
 	}
 	a.link, a.peer = l, b
@@ -568,6 +587,7 @@ func (l *Link) deliver(from *Port, pkt *packet.Packet) {
 		if l.OnDrop != nil {
 			l.OnDrop(from, pkt, DropLinkDown)
 		}
+		pkt.Release()
 		return
 	}
 	if l.DropHook != nil && l.DropHook(from, pkt) {
@@ -576,6 +596,7 @@ func (l *Link) deliver(from *Port, pkt *packet.Packet) {
 		if l.OnDrop != nil {
 			l.OnDrop(from, pkt, DropFaultHook)
 		}
+		pkt.Release()
 		return
 	}
 	if l.lossRate > 0 && !pkt.IsControl() && l.lossRng[d].Float64() < l.lossRate {
@@ -584,6 +605,7 @@ func (l *Link) deliver(from *Port, pkt *packet.Packet) {
 		if l.OnDrop != nil {
 			l.OnDrop(from, pkt, DropRandomLoss)
 		}
+		pkt.Release()
 		return
 	}
 	l.sentBytes[d] += int64(pkt.Size)
@@ -612,6 +634,7 @@ func (l *Link) arrival(d int, pkt *packet.Packet) {
 		if l.OnDrop != nil {
 			l.OnDrop(from, pkt, DropFlapEpoch)
 		}
+		pkt.Release()
 		return
 	}
 	to.receive(pkt)
@@ -637,10 +660,18 @@ func (l *Link) SetDown(down bool) {
 func (l *Link) IsDown() bool { return l.down }
 
 // SetLossRate enables random frame corruption on the link with the given
-// per-frame probability (both directions). Use 0 to disable.
+// per-frame probability (both directions). Use 0 to disable. The first
+// positive rate seeds each direction's loss stream from the simulation
+// seed and the direction ID; nothing draws from a stream at rate zero,
+// so when it is built does not change which frames are lost.
 func (l *Link) SetLossRate(p float64) {
 	if p < 0 || p >= 1 {
 		panic("link: loss rate must be in [0,1)")
+	}
+	if p > 0 && l.lossRng[0] == nil {
+		for d := range l.lossRng {
+			l.lossRng[d] = l.sim.NewStream(lossStreamSeed(l.sim.Seed(), l.dirID[d]))
+		}
 	}
 	l.lossRate = p
 }

@@ -350,6 +350,71 @@ func TestLossInjection(t *testing.T) {
 	_ = sb
 }
 
+// TestConnectSeedsNoLossStream: a link with no loss rate never draws a
+// loss decision, so Connect builds no random source for it, and neither
+// does turning loss off.
+func TestConnectSeedsNoLossStream(t *testing.T) {
+	sim := engine.New(1)
+	a, b := NewPort(sim, "a", 0, simtime.Gbps, &sink{sim: sim}), NewPort(sim, "b", 0, simtime.Gbps, &sink{sim: sim})
+	l := Connect(sim, a, b, 0)
+	l.SetLossRate(0)
+	if l.lossRng[0] != nil || l.lossRng[1] != nil {
+		t.Fatal("a lossless link seeded a loss stream")
+	}
+}
+
+// TestLateLossRateDrawsSeededStream: loss turned on after Connect, and
+// after lossless traffic in both directions, drops exactly the frames
+// each direction's stream, seeded by lossStreamSeed from the simulation
+// seed and the direction ID, picks. The directions draw independently.
+func TestLateLossRateDrawsSeededStream(t *testing.T) {
+	const rate, n = 0.3, 400
+	sim := engine.New(11)
+	pair(sim, 40*simtime.Gbps, 0) // another link first: nonzero direction IDs
+	sa, sb := &sink{sim: sim}, &sink{sim: sim}
+	a, b := NewPort(sim, "a", 0, 40*simtime.Gbps, sa), NewPort(sim, "b", 0, 40*simtime.Gbps, sb)
+	l := Connect(sim, a, b, simtime.Microsecond)
+	var dropped [2][]int64
+	l.OnDrop = func(from *Port, p *packet.Packet, r DropReason) {
+		if r != DropRandomLoss {
+			t.Fatalf("drop reason %v, want %v", r, DropRandomLoss)
+		}
+		d := 0
+		if from == b {
+			d = 1
+		}
+		dropped[d] = append(dropped[d], p.PSN)
+	}
+	send := func(from int64) {
+		for i := from; i < from+n; i++ {
+			a.Enqueue(packet.NewData(1, packet.FiveTuple{}, i, 100, false))
+			b.Enqueue(packet.NewData(2, packet.FiveTuple{}, i, 100, false))
+		}
+		sim.RunAll()
+	}
+	send(0)
+	if len(sa.got) != n || len(sb.got) != n {
+		t.Fatalf("lossless phase delivered %d and %d of %d", len(sb.got), len(sa.got), n)
+	}
+	l.SetLossRate(rate)
+	send(n)
+	for d := range dropped {
+		ref := sim.NewStream(lossStreamSeed(sim.Seed(), l.dirID[d]))
+		var want []int64
+		for i := int64(n); i < 2*n; i++ {
+			if ref.Float64() < rate {
+				want = append(want, i)
+			}
+		}
+		if !slices.Equal(dropped[d], want) {
+			t.Errorf("direction %d dropped PSNs %v, want %v", d, dropped[d], want)
+		}
+	}
+	if len(dropped[0]) == 0 || len(dropped[1]) == 0 {
+		t.Fatal("no frame dropped: the measurement exercised nothing")
+	}
+}
+
 // TestFlapWatermark pins the in-flight flap kill. Frames on the wire
 // when the link goes down die even though it is back up before they
 // would arrive; a frame sent while down is lost on entry; frames sent

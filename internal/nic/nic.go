@@ -29,7 +29,7 @@ import (
 	"dcqcn/internal/simtime"
 )
 
-// Clock adapts the simulation engine to core.Clock.
+// Clock adapts the simulation engine to core.Clock and core.Scheduler.
 type Clock struct{ Sim *engine.Sim }
 
 // Now returns the current simulated time.
@@ -42,6 +42,12 @@ func (c Clock) After(d simtime.Duration, fn func()) func() {
 	h := c.Sim.After(d, fn)
 	return func() { c.Sim.Cancel(h) }
 }
+
+// Schedule runs fn once, d from now, and returns its handle.
+func (c Clock) Schedule(d simtime.Duration, fn func()) eventq.Handle { return c.Sim.After(d, fn) }
+
+// Cancel removes the event behind h; a stale handle is a no-op.
+func (c Clock) Cancel(h eventq.Handle) { c.Sim.Cancel(h) }
 
 // ControllerFactory builds the congestion controller for a new flow;
 // cc.Selection.Factory provides one for every registered algorithm.
@@ -121,6 +127,10 @@ type NIC struct {
 	clock Clock
 	cfg   Config
 	port  *link.Port
+	// pool is the free list of every packet this NIC builds: its
+	// senders' data, its receivers' ACKs and NAKs, and its CNPs. Each
+	// returns here at its last use, wherever in the fabric that is.
+	pool packet.Pool
 
 	senders   map[packet.FlowID]*flowState
 	receivers map[packet.FlowID]*recvState
@@ -137,8 +147,15 @@ type NIC struct {
 	rxQueue []*packet.Packet
 	//acct: bytes queued in the receive pipeline awaiting processing
 	rxBacklog int64
-	rxBusy    bool
+	// rxPkt is the packet the receive pipeline is processing, nil when
+	// idle; held here, as link.Port holds txPkt, so its completion needs
+	// no per-packet closure.
+	rxPkt     *packet.Packet
 	rxPausing bool
+	// rxDone and rxRefresh are finishRx and sendRxPause, bound once in
+	// New.
+	rxDone    func()
+	rxRefresh func()
 
 	// stalled holds flows blocked on the NIC tx backlog, in stall order,
 	// so unstalling is deterministic (map iteration would not be).
@@ -147,7 +164,8 @@ type NIC struct {
 	// OnCNPEmit, if set, observes every CNP this NIC sends as a receiver,
 	// at the moment it enters the port. Strictly passive, same contract
 	// as link.Port.OnRx: observers must not schedule events, draw
-	// randomness, or mutate the packet.
+	// randomness, or mutate the packet, and must not keep the pointer
+	// after returning (the CNP returns to the NIC's pool once consumed).
 	OnCNPEmit func(p *packet.Packet)
 	// OnRateUpdate, if set, observes every rate change a flow's DCQCN
 	// controller applies (cut or recovery). Strictly passive, same
@@ -212,6 +230,8 @@ func New(sim *engine.Sim, id packet.NodeID, name string, cfg Config) *NIC {
 	n.port = link.NewPort(sim, name, 0, cfg.LineRate, n)
 	n.port.OnDeparture = n.onDeparture
 	n.drain = n.drainCNPs
+	n.rxDone = n.finishRx
+	n.rxRefresh = n.sendRxPause
 	return n
 }
 
@@ -248,6 +268,7 @@ func (n *NIC) OpenFlow(dst packet.NodeID) *Flow {
 		qp:   rocev2.NewSender(id, tuple, n.cfg.Transport, n.clock, ctrl),
 		ctrl: ctrl,
 	}
+	fs.qp.SetPool(&n.pool)
 	// Subscribe the flow to exactly the reactors its controller
 	// implements; a signal it has no reactor for stays nil.
 	fs.rtt, _ = ctrl.(cc.RTTReactor)
@@ -356,8 +377,7 @@ func (n *NIC) onDeparture(p *packet.Packet) {
 		}
 	}
 	for len(n.stalled) > 0 && n.port.TotalQueuedBytes() < n.cfg.TxBacklogLimit {
-		fs := n.stalled[0]
-		n.stalled = n.stalled[1:]
+		fs := popFront(&n.stalled)
 		fs.stalled = false
 		n.trySend(fs)
 	}
@@ -387,7 +407,7 @@ func (n *NIC) DataPriority() uint8 { return n.dataPriority() }
 // while earlier arrivals are still draining (a just-cleared slow-receiver
 // fault), preserving delivery order across the rate change.
 func (n *NIC) HandlePacket(p *packet.Packet, _ *link.Port) {
-	if n.cfg.RxProcessingRate > 0 || n.rxBusy || len(n.rxQueue) > 0 {
+	if n.cfg.RxProcessingRate > 0 || n.rxPkt != nil || len(n.rxQueue) > 0 {
 		n.rxEnqueue(p)
 		return
 	}
@@ -411,35 +431,42 @@ func (n *NIC) sendRxPause() {
 	}
 	n.Stats.RxPauses++
 	n.port.SendPFC(n.dataPriority(), true)
-	n.sim.After(link.DefaultPauseDuration/2, n.sendRxPause)
+	n.sim.After(link.DefaultPauseDuration/2, n.rxRefresh)
 }
 
 func (n *NIC) rxKick() {
-	if n.rxBusy || len(n.rxQueue) == 0 {
+	if n.rxPkt != nil || len(n.rxQueue) == 0 {
 		return
 	}
 	p := n.rxQueue[0]
 	n.rxQueue = n.rxQueue[1:]
-	n.rxBusy = true
+	n.rxPkt = p
 	// Rate zero means the pipeline constraint was lifted mid-run: drain
 	// the residue with zero-delay events to keep ordering.
 	var drain simtime.Duration
 	if n.cfg.RxProcessingRate > 0 {
 		drain = n.cfg.RxProcessingRate.TxTime(p.Size)
 	}
-	n.sim.After(drain, func() {
-		n.rxBusy = false
-		n.rxBacklog -= int64(p.Size)
-		if n.rxPausing && n.rxBacklog <= max(n.cfg.RxPFCThreshold-2*packet.MaxFrameBytes, 0) {
-			n.rxPausing = false
-			n.port.SendPFC(n.dataPriority(), false)
-		}
-		n.consume(p)
-		n.rxKick()
-	})
+	n.sim.After(drain, n.rxDone)
 }
 
-// consume dispatches a fully received packet to the protocol machinery.
+// finishRx completes the processing of rxPkt: the pipeline releases its
+// bytes, resumes the ToR if the backlog drained, and consumes the packet.
+func (n *NIC) finishRx() {
+	p := n.rxPkt
+	n.rxPkt = nil
+	n.rxBacklog -= int64(p.Size)
+	if n.rxPausing && n.rxBacklog <= max(n.cfg.RxPFCThreshold-2*packet.MaxFrameBytes, 0) {
+		n.rxPausing = false
+		n.port.SendPFC(n.dataPriority(), false)
+	}
+	n.consume(p)
+	n.rxKick()
+}
+
+// consume dispatches a fully received packet to the protocol machinery,
+// then releases it: this is its last use, on the direct path and the
+// pipeline path alike.
 func (n *NIC) consume(p *packet.Packet) {
 	switch p.Type {
 	case packet.Data:
@@ -491,6 +518,7 @@ func (n *NIC) consume(p *packet.Packet) {
 		// PFC frames are consumed by the port; anything else is a bug.
 		panic(fmt.Sprintf("nic %s: unexpected packet %v", n.Name, p))
 	}
+	p.Release()
 }
 
 // dataPriority returns the PFC class this NIC's data rides on.
@@ -512,6 +540,7 @@ func (n *NIC) receiverFor(p *packet.Packet) *recvState {
 	rs.qp = rocev2.NewReceiver(flow, tuple, n.cfg.Transport, func(ctrl *packet.Packet) {
 		n.port.Enqueue(ctrl)
 	})
+	rs.qp.SetPool(&n.pool)
 	if n.cfg.NPEnabled {
 		rs.np = core.NewNP(n.cfg.NP, n.clock, func() {
 			n.emitCNP(flow, tuple)
@@ -524,7 +553,7 @@ func (n *NIC) receiverFor(p *packet.Packet) *recvState {
 // emitCNP sends one CNP toward the flow's sender, respecting the NIC-wide
 // CNP generation pacing if configured.
 func (n *NIC) emitCNP(flow packet.FlowID, tuple packet.FiveTuple) {
-	cnp := packet.NewCNP(flow, tuple)
+	cnp := n.pool.NewCNP(flow, tuple)
 	cnp.Priority = n.cfg.CNPPriority
 	if n.cfg.CNPPacing <= 0 {
 		n.sendCNP(cnp)
@@ -548,8 +577,7 @@ func (n *NIC) drainCNPs() {
 			n.cnpDrainer = n.sim.At(ready, n.drain)
 			return
 		}
-		cnp := n.cnpQueue[0]
-		n.cnpQueue = n.cnpQueue[1:]
+		cnp := popFront(&n.cnpQueue)
 		n.sendCNP(cnp)
 	}
 }
@@ -561,6 +589,20 @@ func (n *NIC) sendCNP(cnp *packet.Packet) {
 		n.OnCNPEmit(cnp)
 	}
 	n.port.Enqueue(cnp)
+}
+
+// popFront removes and returns the head of a short FIFO kept in a slice.
+// It shifts the rest down instead of reslicing past the head, which
+// would shrink the capacity until every append reallocates: the stall
+// list and the CNP queue refill constantly under PFC and marking.
+func popFront[T any](q *[]T) T {
+	s := *q
+	head := s[0]
+	n := copy(s, s[1:])
+	var zero T
+	s[n] = zero
+	*q = s[:n]
+	return head
 }
 
 // ReceiverStats returns the transport counters of the receive half of a

@@ -7,6 +7,18 @@
 // (BTH), so a Packet exposes the fields each layer of the model needs —
 // addresses and ECN bits for the switches, priorities for PFC, packet
 // sequence numbers for the transport.
+//
+// Ownership. A packet has one owner at a time — a sender, a FIFO, a
+// wire, a receiving device — and one last use: a NIC consumes it, a port
+// acts on a PFC frame, or a switch or link drops it. At that point the
+// owner calls Release, which returns the packet to the Pool of the
+// device that built it (each NIC owns one for its data, ACKs, NAKs and
+// CNPs; each port one for its PFC frames), so the steady-state packet
+// path allocates nothing. Code that only observes a packet, through any
+// device hook, must copy what it needs during the call and never keep
+// the pointer: after its last use the packet is rebuilt as another one.
+// Packets built without a pool (the package-level constructors, test
+// literals, DCTCP, QCN and switch-assist feedback) ignore Release.
 package packet
 
 import (
@@ -85,22 +97,58 @@ type FiveTuple struct {
 }
 
 // Packet is one simulated frame. Packets are passed by pointer and owned
-// by exactly one queue or link at a time; they are never shared.
+// by exactly one queue, link or device at a time; they are never shared.
+//
+// Fields are ordered by alignment, widest first, so the struct carries no
+// padding beyond FiveTuple's own: 104 bytes with the pool pointer, which
+// keeps it in Go's 112-byte allocation size class (TestPacketSize).
 type Packet struct {
-	Type  Type
-	Flow  FlowID
-	Tuple FiveTuple
-
 	// Size is the wire size in bytes, including all headers.
 	Size int
 	// Payload is the transport payload length for Data packets.
 	Payload int
-	// Priority is the PFC traffic class (0..7).
-	Priority uint8
 
 	// PSN is the packet sequence number for Data, or the cumulative /
 	// expected PSN for Ack and Nack.
 	PSN int64
+
+	// QCNFeedback is the quantized congestion feedback value carried by
+	// QCN frames (baseline only).
+	QCNFeedback float64
+
+	// HintQueueBytes is the egress occupancy a switch-assist Hint frame
+	// reports back to the flow's source (internal/cc switch-assist).
+	HintQueueBytes int64
+
+	// AckPayload, with AckCount and AckMarked below, summarizes what a
+	// cumulative ACK newly acknowledges: its payload bytes, the in-order
+	// data packets covered since the previous ACK, and how many of them
+	// arrived CE-marked. ECN-fraction controllers (DCTCP-style,
+	// internal/cc) consume the ratio; DCQCN ignores all three (it reacts
+	// to CNPs instead).
+	AckPayload int64
+
+	// SentAt is stamped by the origin NIC when the packet first enters the
+	// network; used for latency accounting.
+	SentAt simtime.Time
+
+	// pool is the free list the packet returns to on Release; nil for a
+	// packet built without one.
+	pool *Pool
+
+	Flow      FlowID
+	AckCount  int32
+	AckMarked int32
+
+	// ingress bookkeeping used by switches to release shared-buffer
+	// accounting when the packet departs. Internal to the fabric.
+	InPort int32
+
+	Tuple FiveTuple
+
+	Type Type
+	// Priority is the PFC traffic class (0..7).
+	Priority uint8
 
 	// ECNCapable marks the packet ECT: switches may mark instead of drop.
 	ECNCapable bool
@@ -118,36 +166,93 @@ type Packet struct {
 	// and whether this is XOFF (true) or XON (false).
 	PausePrio uint8
 	PauseOn   bool
-
-	// QCNFeedback is the quantized congestion feedback value carried by
-	// QCN frames (baseline only).
-	QCNFeedback float64
-
-	// HintQueueBytes is the egress occupancy a switch-assist Hint frame
-	// reports back to the flow's source (internal/cc switch-assist).
-	HintQueueBytes int64
-
-	// AckCount, AckMarked and AckPayload summarize what a cumulative ACK
-	// newly acknowledges: in-order data packets covered since the previous
-	// ACK, how many of them arrived CE-marked, and their payload bytes.
-	// ECN-fraction controllers (DCTCP-style, internal/cc) consume the
-	// ratio; DCQCN ignores all three (it reacts to CNPs instead).
-	AckCount   int32
-	AckMarked  int32
-	AckPayload int64
-
-	// SentAt is stamped by the origin NIC when the packet first enters the
-	// network; used for latency accounting.
-	SentAt simtime.Time
-
-	// ingress bookkeeping used by switches to release shared-buffer
-	// accounting when the packet departs. Internal to the fabric.
-	InPort int32
 }
 
+// poolCap bounds each pool's free list. A device's packets return to it
+// as fast as it builds new ones in steady state, so a short list covers
+// the churn; a longer one would only keep the start-up burst's peak
+// alive as idle heap for the rest of the run.
+const poolCap = 8
+
+// Pool is a bounded LIFO free list of packets, owned by the one device
+// that builds them (a NIC, a port). Its constructor methods reuse a
+// released packet when one is free and allocate otherwise; a nil *Pool
+// always allocates, which is what the package-level constructors do.
+// A packet built by a pool records it, and Release returns it there.
+//
+// A Pool is not safe for concurrent use; like the rest of the model it
+// belongs to one single-threaded simulation.
+type Pool struct {
+	free []*Packet
+}
+
+// get returns a packet for a constructor to overwrite: the most recently
+// released one, or a fresh one.
+//
+//hot:path
+func (pl *Pool) get() *Packet {
+	if pl != nil {
+		if n := len(pl.free); n > 0 {
+			p := pl.free[n-1]
+			pl.free = pl.free[:n-1]
+			return p
+		}
+	}
+	return newPacket(pl)
+}
+
+// newPacket allocates a packet, and for a pool without one yet its free
+// list at full capacity, so Release never grows it. It stays out of line
+// so the packet path's only allocation site is this one function, not
+// every inlined copy of get or Release.
+//
+//go:noinline
+//hot:path
+func newPacket(pl *Pool) *Packet {
+	// Amortized pool growth: a device allocates only while its packets
+	// in flight reach a new peak. Accepted in escape.golden.
+	if pl != nil && pl.free == nil {
+		pl.free = make([]*Packet, 0, poolCap)
+	}
+	return &Packet{}
+}
+
+// released poisons the Type of a released pool packet, so a second
+// Release, or a device consuming a released packet, is caught.
+const released Type = 0xff
+
+// Release hands p back to the pool that built it, at its last use: a
+// device consumed it, or a switch or link dropped it. Nothing may touch
+// p afterwards: the pool's next constructor call overwrites it. On a
+// packet built without a pool Release does nothing. Releasing a packet
+// twice panics.
+//
+//hot:path
+func (p *Packet) Release() {
+	pl := p.pool
+	if pl == nil {
+		return
+	}
+	if p.Type == released {
+		releasedTwice()
+	}
+	p.Type = released
+	if len(pl.free) < cap(pl.free) {
+		pl.free = append(pl.free, p)
+	}
+}
+
+// releasedTwice reports a double Release. It stays out of line so the
+// panic's boxed message is not inlined, with Release, into every hot
+// caller.
+//
+//go:noinline
+func releasedTwice() { panic("packet: released twice") }
+
 // NewData builds a data segment of the given payload size for flow f.
-func NewData(f FlowID, tuple FiveTuple, psn int64, payload int, last bool) *Packet {
-	return &Packet{
+func (pl *Pool) NewData(f FlowID, tuple FiveTuple, psn int64, payload int, last bool) *Packet {
+	p := pl.get()
+	*p = Packet{
 		Type:       Data,
 		Flow:       f,
 		Tuple:      tuple,
@@ -157,51 +262,108 @@ func NewData(f FlowID, tuple FiveTuple, psn int64, payload int, last bool) *Pack
 		PSN:        psn,
 		ECNCapable: true,
 		Last:       last,
+		pool:       pl,
 	}
+	return p
 }
 
 // NewAck builds a cumulative acknowledgement up to (and including) psn,
 // flowing from the receiver back to the sender, so its tuple is reversed.
-func NewAck(f FlowID, tuple FiveTuple, psn int64) *Packet {
-	return &Packet{
+func (pl *Pool) NewAck(f FlowID, tuple FiveTuple, psn int64) *Packet {
+	p := pl.get()
+	*p = Packet{
 		Type:     Ack,
 		Flow:     f,
 		Tuple:    tuple.Reverse(),
 		Size:     ControlBytes,
 		Priority: PrioControl,
 		PSN:      psn,
+		pool:     pl,
 	}
+	return p
 }
 
 // NewNack builds an out-of-sequence NAK asking the sender to resume from
 // expected.
-func NewNack(f FlowID, tuple FiveTuple, expected int64) *Packet {
-	return &Packet{
+func (pl *Pool) NewNack(f FlowID, tuple FiveTuple, expected int64) *Packet {
+	p := pl.get()
+	*p = Packet{
 		Type:     Nack,
 		Flow:     f,
 		Tuple:    tuple.Reverse(),
 		Size:     ControlBytes,
 		Priority: PrioControl,
 		PSN:      expected,
+		pool:     pl,
 	}
+	return p
 }
 
 // NewCNP builds a Congestion Notification Packet for flow f, addressed
 // back to the flow's sender.
-func NewCNP(f FlowID, tuple FiveTuple) *Packet {
-	return &Packet{
+func (pl *Pool) NewCNP(f FlowID, tuple FiveTuple) *Packet {
+	p := pl.get()
+	*p = Packet{
 		Type:     CNP,
 		Flow:     f,
 		Tuple:    tuple.Reverse(),
 		Size:     ControlBytes,
 		Priority: PrioControl,
+		pool:     pl,
 	}
+	return p
+}
+
+// NewPFC builds a PFC frame pausing (on=true) or resuming (on=false) the
+// given priority. PFC frames are link-local: they are consumed by the
+// device at the other end of the link and never forwarded.
+func (pl *Pool) NewPFC(prio uint8, on bool) *Packet {
+	t := Resume
+	if on {
+		t = Pause
+	}
+	p := pl.get()
+	*p = Packet{
+		Type:      t,
+		Size:      ControlBytes,
+		Priority:  NumPriorities - 1, // PFC frames use the highest class
+		PausePrio: prio,
+		PauseOn:   on,
+		pool:      pl,
+	}
+	return p
+}
+
+// NewData builds a data segment without a pool.
+func NewData(f FlowID, tuple FiveTuple, psn int64, payload int, last bool) *Packet {
+	return (*Pool)(nil).NewData(f, tuple, psn, payload, last)
+}
+
+// NewAck builds an acknowledgement without a pool.
+func NewAck(f FlowID, tuple FiveTuple, psn int64) *Packet {
+	return (*Pool)(nil).NewAck(f, tuple, psn)
+}
+
+// NewNack builds a NAK without a pool.
+func NewNack(f FlowID, tuple FiveTuple, expected int64) *Packet {
+	return (*Pool)(nil).NewNack(f, tuple, expected)
+}
+
+// NewCNP builds a CNP without a pool.
+func NewCNP(f FlowID, tuple FiveTuple) *Packet {
+	return (*Pool)(nil).NewCNP(f, tuple)
+}
+
+// NewPFC builds a PFC frame without a pool.
+func NewPFC(prio uint8, on bool) *Packet {
+	return (*Pool)(nil).NewPFC(prio, on)
 }
 
 // NewHint builds a switch-assist occupancy hint addressed back to the
 // flow's sender, reporting qlen bytes queued at the congested egress.
 // Unlike QCN feedback, hints carry the flow's IP tuple and are routed
-// across the fabric like CNPs, so they work beyond one L2 domain.
+// across the fabric like CNPs, so they work beyond one L2 domain. Hints
+// are switch-originated and rare, so they take no pool.
 func NewHint(f FlowID, tuple FiveTuple, qlen int64) *Packet {
 	return &Packet{
 		Type:           Hint,
@@ -210,23 +372,6 @@ func NewHint(f FlowID, tuple FiveTuple, qlen int64) *Packet {
 		Size:           ControlBytes,
 		Priority:       PrioControl,
 		HintQueueBytes: qlen,
-	}
-}
-
-// NewPFC builds a PFC frame pausing (on=true) or resuming (on=false) the
-// given priority. PFC frames are link-local: they are consumed by the
-// device at the other end of the link and never forwarded.
-func NewPFC(prio uint8, on bool) *Packet {
-	t := Resume
-	if on {
-		t = Pause
-	}
-	return &Packet{
-		Type:      t,
-		Size:      ControlBytes,
-		Priority:  NumPriorities - 1, // PFC frames use the highest class
-		PausePrio: prio,
-		PauseOn:   on,
 	}
 }
 

@@ -7,19 +7,12 @@ import (
 	"testing"
 
 	"dcqcn/internal/packet"
+	"dcqcn/internal/simtest"
 	"dcqcn/internal/simtime"
 )
 
-// fakeClock is the minimal core.Clock for audit tests.
-type fakeClock struct{ now simtime.Time }
-
-func (c *fakeClock) Now() simtime.Time { return c.now }
-func (c *fakeClock) After(d simtime.Duration, fn func()) func() {
-	return func() {}
-}
-
 func auditSender() *Sender {
-	s := NewSender(1, packet.FiveTuple{}, DefaultConfig(), &fakeClock{}, FixedRate(simtime.Gbps))
+	s := NewSender(1, packet.FiveTuple{}, DefaultConfig(), &simtest.Clock{}, FixedRate(simtime.Gbps))
 	s.PostMessage(10*1000, nil)
 	return s
 }

@@ -167,7 +167,11 @@ type Sender struct {
 	acked    int64      // PSNs < acked are cumulatively acknowledged
 	endPSN   int64      // PSN after the last posted message
 
-	cancelRTO func()
+	// rto is the retransmission timer, re-armed on every data packet
+	// and ACK; its continuation is bound once, in NewSender.
+	rto core.Timer
+	// pool supplies the data packets BuildNext builds (nil: allocate).
+	pool *packet.Pool
 	// onWake, set by the NIC, is called when the sender transitions from
 	// blocked (no data / window full) to sendable, so pacing can resume.
 	onWake func()
@@ -188,8 +192,15 @@ func NewSender(flow packet.FlowID, tuple packet.FiveTuple, cfg Config, clock cor
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Sender{Flow: flow, Tuple: tuple, cfg: cfg, clock: clock, Controller: ctrl}
+	s := &Sender{Flow: flow, Tuple: tuple, cfg: cfg, clock: clock, Controller: ctrl}
+	s.rto = core.NewTimer(clock, s.onRTO)
+	return s
 }
+
+// SetPool makes BuildNext take its packets from pool, the free list of
+// the device that sends them. Without one, each packet is a plain
+// allocation.
+func (s *Sender) SetPool(pool *packet.Pool) { s.pool = pool }
 
 // SetWakeFunc registers the NIC pacing hook invoked whenever previously
 // blocked data becomes sendable.
@@ -234,7 +245,7 @@ func (s *Sender) BuildNext() *packet.Packet {
 	}
 	m := s.messageFor(s.nextPSN)
 	payload := m.payloadAt(s.nextPSN, s.cfg.MTU)
-	pkt := packet.NewData(s.Flow, s.Tuple, s.nextPSN, payload, s.nextPSN == m.lastPSN())
+	pkt := s.pool.NewData(s.Flow, s.Tuple, s.nextPSN, payload, s.nextPSN == m.lastPSN())
 	if s.cfg.Priority != 0 {
 		pkt.Priority = s.cfg.Priority
 	}
@@ -275,7 +286,7 @@ func (s *Sender) OnAck(psn int64) {
 		}
 	}
 	if s.acked >= s.endPSN {
-		s.cancelRTOTimer()
+		s.rto.Stop()
 	} else {
 		s.armRTO()
 	}
@@ -310,7 +321,7 @@ func (s *Sender) OnNack(expected int64) {
 // leaking an eternally self-rescheduling event.
 func (s *Sender) Stop() {
 	s.stopped = true
-	s.cancelRTOTimer()
+	s.rto.Stop()
 	s.Controller.Stop()
 }
 
@@ -336,21 +347,12 @@ func (s *Sender) armRTO() {
 	if s.stopped {
 		return
 	}
-	s.cancelRTOTimer()
-	s.cancelRTO = s.clock.After(s.cfg.RTO, s.onRTO)
-}
-
-func (s *Sender) cancelRTOTimer() {
-	if s.cancelRTO != nil {
-		s.cancelRTO()
-		s.cancelRTO = nil
-	}
+	s.rto.Reset(s.cfg.RTO)
 }
 
 // onRTO rewinds to the cumulative ACK point (go-back-N) after a silent
 // window — the recovery path of last resort when packets were tail-dropped.
 func (s *Sender) onRTO() {
-	s.cancelRTO = nil
 	if !s.Pending() {
 		return
 	}
@@ -382,6 +384,7 @@ type Receiver struct {
 
 	cfg      Config
 	send     func(*packet.Packet) // emits ACK/NAK toward the sender
+	pool     *packet.Pool         // supplies ACKs and NAKs (nil: allocate)
 	expected int64
 	sinceAck int
 	// sinceAckMarked / sinceAckPayload count CE-marked in-order packets
@@ -410,6 +413,11 @@ func NewReceiver(flow packet.FlowID, tuple packet.FiveTuple, cfg Config, send fu
 	}
 	return &Receiver{Flow: flow, Tuple: tuple, cfg: cfg, send: send}
 }
+
+// SetPool makes the receiver take its ACKs and NAKs from pool, the free
+// list of the device that sends them. Without one, each is a plain
+// allocation.
+func (r *Receiver) SetPool(pool *packet.Pool) { r.pool = pool }
 
 // Expected returns the next PSN the receiver will accept.
 func (r *Receiver) Expected() int64 { return r.expected }
@@ -444,7 +452,7 @@ func (r *Receiver) OnData(p *packet.Packet) {
 		if !r.nacked {
 			r.nacked = true
 			r.Stats.NacksSent++
-			r.send(packet.NewNack(r.Flow, r.Tuple, r.expected))
+			r.send(r.pool.NewNack(r.Flow, r.Tuple, r.expected))
 		}
 	}
 	r.audit()
@@ -452,7 +460,7 @@ func (r *Receiver) OnData(p *packet.Packet) {
 
 func (r *Receiver) sendAck() {
 	r.Stats.AcksSent++
-	ack := packet.NewAck(r.Flow, r.Tuple, r.expected-1)
+	ack := r.pool.NewAck(r.Flow, r.Tuple, r.expected-1)
 	// Echo the data packet's send timestamp so the sender can measure
 	// RTT (used by delay-based controllers like the TIMELY baseline).
 	ack.SentAt = r.lastDataSentAt

@@ -1,26 +1,19 @@
 // Package simtest provides test doubles shared by the unit tests of the
-// protocol packages: a manually advanced Clock implementation compatible
-// with core.Clock.
+// protocol packages: a manually advanced clock that implements both
+// core.Clock and core.Scheduler over an eventq.Queue, so unit tests run
+// the same handle path the engine gives the simulator.
 package simtest
 
 import (
-	"sort"
-
+	"dcqcn/internal/eventq"
 	"dcqcn/internal/simtime"
 )
 
-// Clock is a manual test clock. The zero value starts at time 0.
+// Clock is a manual test clock. The zero value starts at time 0 with no
+// timers. Timers due at the same time fire in the order they were armed.
 type Clock struct {
-	now    simtime.Time
-	seq    int
-	timers []*timer
-}
-
-type timer struct {
-	at        simtime.Time
-	seq       int
-	fn        func()
-	cancelled bool
+	now simtime.Time
+	q   eventq.Queue
 }
 
 // Now returns the current time.
@@ -28,54 +21,27 @@ func (c *Clock) Now() simtime.Time { return c.now }
 
 // After schedules fn once, d from now, and returns a cancel function.
 func (c *Clock) After(d simtime.Duration, fn func()) func() {
-	t := &timer{at: c.now.Add(d), seq: c.seq, fn: fn}
-	c.seq++
-	c.timers = append(c.timers, t)
-	return func() { t.cancelled = true }
+	h := c.Schedule(d, fn)
+	return func() { c.Cancel(h) }
 }
+
+// Schedule schedules fn once, d from now, and returns its handle.
+func (c *Clock) Schedule(d simtime.Duration, fn func()) eventq.Handle {
+	return c.q.Push(c.now.Add(d), fn)
+}
+
+// Cancel removes a pending timer; a stale or zero handle is a no-op.
+func (c *Clock) Cancel(h eventq.Handle) { c.q.Cancel(h) }
 
 // Advance moves the clock forward by d, firing due timers in order.
 func (c *Clock) Advance(d simtime.Duration) {
 	target := c.now.Add(d)
-	for {
-		var next *timer
-		for _, t := range c.timers {
-			if t.cancelled || t.at > target {
-				continue
-			}
-			if next == nil || t.at < next.at || (t.at == next.at && t.seq < next.seq) {
-				next = t
-			}
-		}
-		if next == nil {
-			break
-		}
-		c.now = next.at
-		next.cancelled = true
-		next.fn()
-		c.compact()
+	for e := c.q.PopUntil(target); e != nil; e = c.q.PopUntil(target) {
+		c.now = e.At
+		e.Fire()
 	}
 	c.now = target
 }
 
 // Pending returns the number of live timers.
-func (c *Clock) Pending() int {
-	n := 0
-	for _, t := range c.timers {
-		if !t.cancelled {
-			n++
-		}
-	}
-	return n
-}
-
-func (c *Clock) compact() {
-	live := c.timers[:0]
-	for _, t := range c.timers {
-		if !t.cancelled {
-			live = append(live, t)
-		}
-	}
-	c.timers = live
-	sort.SliceStable(c.timers, func(i, j int) bool { return c.timers[i].at < c.timers[j].at })
-}
+func (c *Clock) Pending() int { return c.q.Len() }
