@@ -5,13 +5,13 @@ import (
 	"unsafe"
 )
 
-// TestPacketSize pins the field order: 104 bytes is the largest size in
-// Go's 112-byte allocation class, so every packet stays one 112-byte
-// object. Without the widest-first order the struct pads to 120 bytes
-// and moves to the 128-byte class.
+// TestPacketSize pins the field order: 96 bytes is the largest size in
+// Go's 96-byte allocation class, so every packet stays one 96-byte
+// object. Without the widest-first order the struct pads past 96 bytes
+// and moves to the 112-byte class.
 func TestPacketSize(t *testing.T) {
-	if got := unsafe.Sizeof(Packet{}); got > 104 {
-		t.Fatalf("Packet is %d bytes, want at most 104 (the 112-byte size class)", got)
+	if got := unsafe.Sizeof(Packet{}); got > 96 {
+		t.Fatalf("Packet is %d bytes, want at most 96 (the 96-byte size class)", got)
 	}
 }
 

@@ -433,9 +433,10 @@ func (r *Receiver) OnData(p *packet.Packet) {
 		if p.CE {
 			r.sinceAckMarked++
 		}
-		r.sinceAckPayload += int64(p.Payload)
+		payload := int64(p.Payload())
+		r.sinceAckPayload += payload
 		r.Stats.PacketsInOrder++
-		r.Stats.BytesDelivered += int64(p.Payload)
+		r.Stats.BytesDelivered += payload
 		if p.Last {
 			r.Stats.MessagesDone++
 		}

@@ -30,8 +30,8 @@ func TestSegmentation(t *testing.T) {
 		t.Fatalf("built %d packets, want 4", len(pkts))
 	}
 	for i, p := range pkts[:3] {
-		if p.Payload != cfg.MTU {
-			t.Errorf("packet %d payload %d, want MTU", i, p.Payload)
+		if p.Payload() != cfg.MTU {
+			t.Errorf("packet %d payload %d, want MTU", i, p.Payload())
 		}
 		if p.Last {
 			t.Errorf("packet %d wrongly marked Last", i)
@@ -41,8 +41,8 @@ func TestSegmentation(t *testing.T) {
 		}
 	}
 	last := pkts[3]
-	if last.Payload != 100 || !last.Last || last.PSN != 3 {
-		t.Fatalf("bad final segment: payload=%d last=%v psn=%d", last.Payload, last.Last, last.PSN)
+	if last.Payload() != 100 || !last.Last || last.PSN != 3 {
+		t.Fatalf("bad final segment: payload=%d last=%v psn=%d", last.Payload(), last.Last, last.PSN)
 	}
 }
 
