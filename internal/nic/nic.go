@@ -153,9 +153,10 @@ type NIC struct {
 	rxPkt     *packet.Packet
 	rxPausing bool
 	// rxDone and rxRefresh are finishRx and sendRxPause, bound once in
-	// New.
-	rxDone    func()
-	rxRefresh func()
+	// New. rxRefreshing is the one pending XOFF refresh.
+	rxDone       func()
+	rxRefresh    func()
+	rxRefreshing eventq.Handle
 
 	// stalled holds flows blocked on the NIC tx backlog, in stall order,
 	// so unstalling is deterministic (map iteration would not be).
@@ -431,7 +432,9 @@ func (n *NIC) sendRxPause() {
 	}
 	n.Stats.RxPauses++
 	n.port.SendPFC(n.dataPriority(), true)
-	n.sim.After(link.DefaultPauseDuration/2, n.rxRefresh)
+	// As a switch does: the next refresh supersedes a pending one.
+	n.sim.Cancel(n.rxRefreshing)
+	n.rxRefreshing = n.sim.After(link.DefaultPauseDuration/2, n.rxRefresh)
 }
 
 func (n *NIC) rxKick() {

@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"slices"
 	"testing"
 
 	"dcqcn/internal/cc"
@@ -433,5 +434,68 @@ func TestRTTSamplingFiltersGoBackN(t *testing.T) {
 		if s <= 0 {
 			t.Fatalf("non-positive RTT sample %v delivered", s)
 		}
+	}
+}
+
+// discard is a link.Receiver that drops what it is given.
+type discard struct{}
+
+func (discard) HandlePacket(*packet.Packet, *link.Port) {}
+
+// TestOneRxRefresh: the receive pipeline's XOFF refresh follows the
+// switch's rule. A slow receiver whose buffer goes XOFF, XON, XOFF
+// within half a pause interval keeps one refresh chain: while the
+// backlog stays above the threshold, XOFF goes out exactly every half
+// interval after the last one, and no others.
+func TestOneRxRefresh(t *testing.T) {
+	const half = link.DefaultPauseDuration / 2
+	cfg := DefaultConfig()
+	cfg.RxProcessingRate = 10 * simtime.Gbps
+	sim := engine.New(1)
+	rx := New(sim, 2, "rx", cfg)
+	feeder := link.NewPort(sim, "feeder", 0, cfg.LineRate, discard{})
+	link.Connect(sim, feeder, rx.Port(), 500*simtime.Nanosecond)
+	var xoff, xon []simtime.Time
+	rx.Port().OnEnqueue = func(p *packet.Packet) {
+		switch p.Type {
+		case packet.Pause:
+			xoff = append(xoff, sim.Now())
+		case packet.Resume:
+			xon = append(xon, sim.Now())
+		}
+	}
+	// The feeder sends on a class the NIC's XOFF does not pause, so its
+	// frames arrive exactly when sent. 60 frames at 40 Gb/s into the
+	// 10 Gb/s pipeline cross the threshold (XOFF) and drain below it
+	// (XON). At 40 µs the pipeline slows to one frame per 1.25 ms and 25
+	// more frames cross the threshold again (XOFF); the backlog then
+	// stays above it.
+	tuple := packet.FiveTuple{Src: 1, Dst: 2, SrcPort: 1000, DstPort: 4791, Proto: 17}
+	var psn int64
+	burst := func(n int) {
+		for i := 0; i < n; i++ {
+			p := packet.NewData(1<<16, tuple, psn, packet.MTU, false)
+			p.Priority = 1
+			psn++
+			feeder.Enqueue(p)
+		}
+	}
+	burst(60)
+	sim.At(simtime.Time(40*simtime.Microsecond), func() {
+		rx.SetRxProcessingRate(10 * simtime.Mbps)
+		burst(25)
+	})
+	sim.Run(simtime.Time(100 * simtime.Microsecond).Add(4*half + half/2))
+
+	if len(xoff) < 2 || len(xon) != 1 || xon[0] < xoff[0] || xon[0] > xoff[1] || xoff[1].Sub(xoff[0]) >= half {
+		t.Fatalf("want XOFF, XON, XOFF within half an interval: XOFFs at %v, XONs at %v", xoff, xon)
+	}
+	last := xoff[1]
+	want := []simtime.Time{last.Add(half), last.Add(2 * half), last.Add(3 * half), last.Add(4 * half)}
+	if got := xoff[2:]; !slices.Equal(got, want) {
+		t.Fatalf("refresh XOFFs at %v, want one every half interval after the last XOFF: %v", got, want)
+	}
+	if got := rx.Stats.RxPauses; got != int64(len(xoff)) {
+		t.Fatalf("RxPauses %d, want the %d XOFFs sent", got, len(xoff))
 	}
 }
