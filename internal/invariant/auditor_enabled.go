@@ -9,6 +9,7 @@ import (
 	"dcqcn/internal/link"
 	"dcqcn/internal/nic"
 	"dcqcn/internal/packet"
+	"dcqcn/internal/simtime"
 	"dcqcn/internal/topology"
 )
 
@@ -25,6 +26,14 @@ const maxRecorded = 64
 // peer, as observed on the wire since attach.
 type pfcPairing struct {
 	xoffSeen [packet.NumPriorities]bool
+}
+
+// xoffSpacing is the per-port record of the XOFFs a switch port has
+// sent: per priority, whether one was sent since the last XON, and
+// when the last one was.
+type xoffSpacing struct {
+	open [packet.NumPriorities]bool
+	last [packet.NumPriorities]simtime.Time
 }
 
 // flowPSN is the wire-observed PSN state of one QP.
@@ -65,14 +74,19 @@ func Attach(net *topology.Network) *Auditor {
 	return a
 }
 
-// tapSwitchPort arms PFC pairing on arrivals and the full shared-buffer
-// conservation check after every departure of one switch port. Hooks
-// are chained, not assigned, so the auditor composes with other passive
-// observers (the flight recorder) on the same ports.
+// tapSwitchPort arms PFC pairing on arrivals, XOFF spacing on the
+// frames the port sends, and the full shared-buffer conservation check
+// after every departure of one switch port. Hooks are chained, not
+// assigned, so the auditor composes with other passive observers (the
+// flight recorder) on the same ports.
 func (a *Auditor) tapSwitchPort(sw *fabric.Switch, port *link.Port) {
 	pairing := &pfcPairing{}
 	port.ChainOnRx(func(p *packet.Packet) {
 		a.checkPFCPairing(pairing, port.Name, p)
+	})
+	spacing := &xoffSpacing{}
+	port.ChainOnEnqueue(func(p *packet.Packet) {
+		a.checkXOFFSpacing(spacing, port.Name, p)
 	})
 	port.ChainOnDeparture(func(p *packet.Packet) {
 		a.checkSwitch(sw)
@@ -132,6 +146,27 @@ func (a *Auditor) checkPFCPairing(st *pfcPairing, portName string, p *packet.Pac
 			a.report("pfc-pairing", "port %s priority %d: XON without a preceding XOFF", portName, p.PausePrio)
 		}
 		st.xoffSeen[p.PausePrio] = false
+	}
+}
+
+// checkXOFFSpacing enforces one XOFF refresh per (port, priority): a
+// switch re-sends XOFF every half pause interval while its ingress
+// queue stays above threshold, so two XOFFs less than half an interval
+// apart with no XON between them mean a second refresh chain. Host
+// ports are not checked: a pause-storm fault injects XOFFs from a host
+// at its own period by design.
+func (a *Auditor) checkXOFFSpacing(st *xoffSpacing, portName string, p *packet.Packet) {
+	switch p.Type {
+	case packet.Pause:
+		a.checks++
+		prio, now := p.PausePrio, a.net.Sim.Now()
+		if gap := now.Sub(st.last[prio]); st.open[prio] && gap < link.DefaultPauseDuration/2 {
+			a.report("xoff-spacing", "port %s priority %d: XOFF %v after the last one with no XON between (want at least %v)",
+				portName, prio, gap, link.DefaultPauseDuration/2)
+		}
+		st.open[prio], st.last[prio] = true, now
+	case packet.Resume:
+		st.open[p.PausePrio] = false
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"dcqcn/internal/cc"
+	"dcqcn/internal/link"
+	"dcqcn/internal/packet"
 	"dcqcn/internal/simtime"
 	"dcqcn/internal/topology"
 )
@@ -104,5 +106,69 @@ func TestPairedPFCClean(t *testing.T) {
 	}
 	if pauses == 0 {
 		t.Fatal("incast did not cross the PAUSE threshold; pairing path unexercised")
+	}
+}
+
+// TestSecondRefreshChainFlagged plants a leaked XOFF-refresh chain: on
+// a switch port whose ingress queue is paused, a second chain starts
+// re-sending XOFF every half pause interval beside the switch's own
+// refreshes. Its first XOFF follows the switch's by less than half an
+// interval with no XON between, and the spacing rule reports it on that
+// port.
+func TestSecondRefreshChainFlagged(t *testing.T) {
+	const half = link.DefaultPauseDuration / 2
+	opts := topology.DefaultOptions()
+	opts.NIC.Transport.WindowPackets = 16384
+	topology.ApplyCC(&opts, cc.Fixed(40*simtime.Gbps), true)
+	net := topology.NewStar(1, 5, opts)
+	aud := Attach(net)
+	sw := net.Switch(net.SwitchNames()[0])
+	lastPFC := make([]packet.Type, sw.NumPorts())
+	for i := range lastPFC {
+		sw.Port(i).ChainOnEnqueue(func(p *packet.Packet) {
+			if p.IsControl() {
+				lastPFC[i] = p.Type
+			}
+		})
+	}
+	for _, src := range []string{"H1", "H2", "H3", "H4"} {
+		f := net.Host(src).OpenFlow(net.Host("H5").ID)
+		f.PostMessage(8*1000*1000, nil)
+	}
+	// Step until some switch port's last PFC frame was an XOFF: its
+	// ingress queue is paused, and the switch's own refresh is pending.
+	var port *link.Port
+	now := simtime.Time(500 * simtime.Microsecond)
+	for ; port == nil && now < simtime.Time(simtime.Millisecond); now = now.Add(simtime.Microsecond) {
+		net.Sim.Run(now)
+		for i, typ := range lastPFC {
+			if typ == packet.Pause {
+				port = sw.Port(i)
+				break
+			}
+		}
+	}
+	if port == nil {
+		t.Fatal("no switch port was pausing its sender: the incast never crossed the PAUSE threshold")
+	}
+	if vs := aud.Violations(); len(vs) != 0 {
+		t.Fatalf("violations before the planted chain: %v", vs)
+	}
+	var chain func()
+	chain = func() {
+		port.SendPFC(packet.PrioData, true)
+		net.Sim.After(half, chain)
+	}
+	net.Sim.At(now, chain)
+	net.Sim.Run(now.Add(4 * half))
+
+	vs := aud.Violations()
+	if len(vs) == 0 {
+		t.Fatal("a second refresh chain was not flagged")
+	}
+	for _, v := range vs {
+		if v.Check != "xoff-spacing" || !strings.Contains(v.Detail, port.Name+" ") {
+			t.Fatalf("violation %v, want xoff-spacing on %s", v, port.Name)
+		}
 	}
 }

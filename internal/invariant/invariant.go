@@ -11,6 +11,9 @@
 //   - PFC pairing per (port, priority): an XON must be preceded by an
 //     observed XOFF (quanta expiry may end a pause without XON, but an
 //     unsolicited XON is a protocol violation);
+//   - XOFF spacing per switch (port, priority): two XOFFs sent less than
+//     half a pause interval apart with no XON between them mean a second
+//     refresh chain;
 //   - PSN monotonicity per QP on the wire: a sender's data PSNs stay
 //     contiguous (go-back-N rewinds are legal, forward jumps are not)
 //     and its incoming cumulative ACK point never regresses;
