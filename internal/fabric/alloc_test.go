@@ -3,9 +3,8 @@
 // Allocation-budget test for the hot-path contract (DESIGN §12): the
 // switch forwarding pipeline — admission, PFC threshold check, ECMP
 // route, egress enqueue, departure accounting — and the link transmit
-// it feeds allocate nothing (see internal/link's budget). The pre-bound
-// pauseRefresh continuations keep XOFF refresh off the heap too. Race
-// builds skip the budget.
+// it feeds allocate nothing (see internal/link's budget). Race builds
+// skip the budget.
 
 package fabric
 

@@ -4,9 +4,9 @@
 // complete frame transmission — enqueue, serialize, propagate, deliver
 // — allocates nothing. Both events it schedules (transmit done, arrival)
 // take pooled headers; the arrival carries the frame as the argument of
-// the direction's pre-bound continuation, and the pre-bound
-// txDone/pauseExpire continuations keep the rest off the heap. Race
-// builds skip the budget (the detector perturbs counts).
+// the direction's pre-bound continuation, and the pre-bound txDone
+// continuation keeps the rest off the heap. Race builds skip the budget
+// (the detector perturbs counts).
 
 package link
 
