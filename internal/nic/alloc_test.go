@@ -1,14 +1,20 @@
 //go:build !race
 
-// Allocation-budget test for the hot-path contract (DESIGN §12): the
+// Allocation-budget tests for the hot-path contract (DESIGN §12): the
 // NIC's short FIFOs — flows stalled on the transmit backlog, CNPs
-// waiting for the pacer — refill on every PFC pause and marking burst,
-// so a steady push/pop cycle must reuse their backing arrays. Race
-// builds skip the budget.
+// waiting for the pacer, packets in a slow receive pipeline — refill on
+// every PFC pause and marking burst, so a steady push/pop cycle must
+// reuse their backing arrays. Race builds skip the budgets.
 
 package nic
 
-import "testing"
+import (
+	"testing"
+
+	"dcqcn/internal/engine"
+	"dcqcn/internal/packet"
+	"dcqcn/internal/simtime"
+)
 
 func TestAllocBudgetPopFront(t *testing.T) {
 	var q []*flowState
@@ -27,5 +33,33 @@ func TestAllocBudgetPopFront(t *testing.T) {
 	}
 	if len(q) != 0 || cap(q) < 2 {
 		t.Fatalf("queue len %d cap %d after the cycles", len(q), cap(q))
+	}
+}
+
+// TestAllocBudgetRxPipeline drives two packets at a time through a
+// rate-limited receive pipeline (HandlePacket queues both, the run
+// drains them): the queue must reuse its backing array.
+func TestAllocBudgetRxPipeline(t *testing.T) {
+	sim := engine.New(1)
+	cfg := DefaultConfig()
+	cfg.RxProcessingRate = 10 * simtime.Gbps
+	n := New(sim, 1, "nic", cfg)
+	a := &packet.Packet{Type: packet.CNP, Size: packet.ControlBytes, Flow: 7}
+	b := &packet.Packet{Type: packet.CNP, Size: packet.ControlBytes, Flow: 8}
+	cycle := func() {
+		n.HandlePacket(a, n.Port())
+		n.HandlePacket(b, n.Port())
+		sim.RunAll()
+	}
+	cycle() // warm: the queue's backing array and the event pool
+	avg := testing.AllocsPerRun(1000, cycle)
+	if avg != 0 {
+		t.Errorf("receive pipeline allocates %.2f objects per cycle, budget is 0", avg)
+	}
+	if got := n.Stats.CNPsReceived; got != 2*1002 {
+		t.Fatalf("pipeline consumed %d packets, want %d", got, 2*1002)
+	}
+	if n.RxBacklog() != 0 {
+		t.Fatalf("receive backlog %d after the cycles, want 0", n.RxBacklog())
 	}
 }

@@ -441,8 +441,7 @@ func (n *NIC) rxKick() {
 	if n.rxPkt != nil || len(n.rxQueue) == 0 {
 		return
 	}
-	p := n.rxQueue[0]
-	n.rxQueue = n.rxQueue[1:]
+	p := popFront(&n.rxQueue)
 	n.rxPkt = p
 	// Rate zero means the pipeline constraint was lifted mid-run: drain
 	// the residue with zero-delay events to keep ordering.
@@ -597,7 +596,8 @@ func (n *NIC) sendCNP(cnp *packet.Packet) {
 // popFront removes and returns the head of a short FIFO kept in a slice.
 // It shifts the rest down instead of reslicing past the head, which
 // would shrink the capacity until every append reallocates: the stall
-// list and the CNP queue refill constantly under PFC and marking.
+// list, the CNP queue and a slow receive pipeline refill constantly
+// under PFC and marking.
 func popFront[T any](q *[]T) T {
 	s := *q
 	head := s[0]
