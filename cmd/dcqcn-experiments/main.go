@@ -39,7 +39,6 @@ import (
 	"dcqcn/internal/cc"
 	"dcqcn/internal/experiments"
 	"dcqcn/internal/harness"
-	"dcqcn/internal/invariant"
 	"dcqcn/internal/simtime"
 )
 
@@ -191,9 +190,6 @@ func main() {
 			fmt.Printf("%-10s %s\n", e.name, e.desc)
 		}
 		return
-	}
-	if invariant.Enabled {
-		fmt.Println("invariants auditor: armed (built with -tags invariants)")
 	}
 	ran := 0
 	for _, e := range exps {

@@ -49,7 +49,6 @@ import (
 	"dcqcn/internal/experiments"
 	"dcqcn/internal/flightrec"
 	"dcqcn/internal/harness"
-	"dcqcn/internal/invariant"
 	"dcqcn/internal/simtime"
 )
 
@@ -224,9 +223,6 @@ func main() {
 			sel.Name, len(res.Records), res.TotalEvents, res.Wall.Seconds())
 		if *checkDet {
 			fmt.Println("determinism gate: PASS (identical digests across reruns)")
-		}
-		if invariant.Enabled {
-			fmt.Println("invariants auditor: armed (built with -tags invariants); no violations")
 		}
 		if flightrec.Armed() {
 			fmt.Println("flight recorder: armed on every run (-record)")

@@ -1,5 +1,3 @@
-//go:build invariants
-
 package engine
 
 import (

@@ -220,7 +220,9 @@ func (s *Sim) Run(until simtime.Time) uint64 {
 		if e == nil {
 			break
 		}
-		c.auditPop(e.At)
+		if e.At < c.now {
+			poppedPast(e.At, c.now)
+		}
 		c.now = e.At
 		c.fold(e.At)
 		e.Fire()
@@ -232,6 +234,17 @@ func (s *Sim) Run(until simtime.Time) uint64 {
 		c.now = until
 	}
 	return c.events - start
+}
+
+// poppedPast reports the arrow of time broken at the run loop itself:
+// At and After already reject past scheduling at the call site, so a
+// popped event behind the clock means the queue's ordering broke (heap
+// corruption, a mutated Event.At). It stays out of line: inlined, the
+// formatted message's arguments would escape to the heap inside Run.
+//
+//go:noinline
+func poppedPast(at, now simtime.Time) {
+	panic(fmt.Sprintf("engine: invariant violation: popped event at %v behind clock %v", at, now))
 }
 
 // RunAll executes events until the queue drains completely.

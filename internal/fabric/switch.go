@@ -116,9 +116,9 @@ type Switch struct {
 	ingress [][packet.NumPriorities]int64
 	pausing [][packet.NumPriorities]bool
 	// acct tracks lifetime bytes through the shared buffer per ingress
-	// port; the invariant auditor checks admitted == departed + buffered
-	// and wireIn == admitted + dropped + PFC control bytes at every
-	// departure (under -tags invariants).
+	// port; the invariant auditor, where attached, checks admitted ==
+	// departed + buffered and wireIn == admitted + dropped + PFC control
+	// bytes at every departure.
 	//acct: lifetime admitted/departed/dropped bytes per ingress port
 	acct []PortAccounting
 

@@ -49,7 +49,7 @@ func Armed() bool { return armed != nil }
 // Attach wires a recorder into every connected port, switch, NIC and
 // link of a built network, plus the fault-injection observer, and
 // returns it. All taps go through the chaining hook helpers, so the
-// recorder composes with the -tags invariants auditor on the same
+// recorder composes with the conservation auditor on the same
 // ports regardless of attach order.
 func Attach(net *topology.Network, cfg Config) *Recorder {
 	r := newRecorder(net, cfg)

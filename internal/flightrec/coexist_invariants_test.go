@@ -1,5 +1,3 @@
-//go:build invariants
-
 package flightrec_test
 
 import (
@@ -13,7 +11,7 @@ import (
 )
 
 // TestRecorderAndAuditorCoexist arms the flight recorder and the
-// -tags invariants auditor on the same network, in both attach orders,
+// conservation auditor on the same network, in both attach orders,
 // and checks that both observers see the run: the chained hook surface
 // (link.Port.ChainOnRx/ChainOnDeparture) must not let one subscriber
 // displace the other.

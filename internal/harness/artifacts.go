@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dcqcn/internal/flightrec"
-	"dcqcn/internal/invariant"
 )
 
 // Artifact file names within an output directory.
@@ -37,10 +36,6 @@ type Provenance struct {
 	Parallel      int    `json:"parallel"`
 	Reruns        int    `json:"reruns"`
 	Determinism   bool   `json:"determinism_checked"`
-	// Invariants records whether the binary was built with -tags
-	// invariants, i.e. whether the conservation auditor was armed in
-	// every chaos run this sweep executed.
-	Invariants bool `json:"invariants_armed"`
 	// FlightRec records whether the flight recorder was armed (via
 	// flightrec.Arm) for every run this sweep executed.
 	FlightRec bool   `json:"flightrec_armed"`
@@ -77,7 +72,6 @@ func NewProvenance(tool string) Provenance {
 		OS:            runtime.GOOS,
 		Arch:          runtime.GOARCH,
 		NumCPU:        runtime.NumCPU(),
-		Invariants:    invariant.Enabled,
 		FlightRec:     flightrec.Armed(),
 		Seeds:         make(map[string][]int64),
 	}

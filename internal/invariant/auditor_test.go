@@ -1,5 +1,3 @@
-//go:build invariants
-
 package invariant
 
 import (

@@ -23,9 +23,10 @@
 //
 // The auditor is strictly passive: it schedules no events, draws no
 // randomness and mutates no model state, so an armed run produces a
-// bit-identical engine digest to an unarmed one. The checking build is
-// selected with -tags invariants; without the tag Attach is a no-op
-// and release builds pay nothing.
+// bit-identical engine digest to an unarmed one. It costs nothing
+// until Attach: the chaos scenarios arm it on every run, and any other
+// run is audited by attaching it to the built network and calling
+// MustClean after the run.
 package invariant
 
 import (

@@ -12,8 +12,8 @@
 // physical bookkeeping: noconc keeps model packages single-threaded,
 // eventpast keeps event scheduling out of the simulated past, and
 // acctfield keeps //acct:-tagged conservation counters writable only by
-// their owning types. The runtime half of that contract lives in
-// internal/invariant, behind the `invariants` build tag.
+// their owning types. The runtime half of that contract is the
+// conservation auditor in internal/invariant.
 //
 // A third family (DESIGN.md, "Hot-path allocation contract") is one
 // analyzer: hotchain forbids per-event hook chaining inside

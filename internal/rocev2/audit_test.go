@@ -1,5 +1,3 @@
-//go:build invariants
-
 package rocev2
 
 import (

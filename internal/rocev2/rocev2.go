@@ -180,8 +180,7 @@ type Sender struct {
 	// are still fed in.
 	stopped bool
 
-	// aud holds PSN-monotonicity audit state; zero-width unless built
-	// with -tags invariants.
+	// aud holds PSN-monotonicity audit state (see audit.go).
 	aud senderAudit
 
 	Stats SenderStats
@@ -398,8 +397,7 @@ type Receiver struct {
 	// data packet, echoed on ACKs for RTT measurement.
 	lastDataSentAt simtime.Time
 
-	// aud holds PSN-monotonicity audit state; zero-width unless built
-	// with -tags invariants.
+	// aud holds PSN-monotonicity audit state (see audit.go).
 	aud receiverAudit
 
 	Stats ReceiverStats
