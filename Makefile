@@ -1,10 +1,11 @@
 # Developer entry points. `make check` is the pre-PR gate and the whole
 # of CI: formatting, vet, the contract linters, a full build, the test
 # suite under the race detector (the golden matrix audits every
-# scenario with the conservation auditor), the allocation budgets (the
-# plain-build run of every race-excluded test), a short fuzz of the
-# event queue, the CLI smoke table (whose chaos lines are the audited
-# chaos sweep) and the benchmark module's tests. Each gate runs once.
+# scenario with the conservation auditor), the allocation budgets and
+# retained-memory bounds (the plain-build run of every race-excluded
+# test), a short fuzz of the event queue, the CLI smoke table (whose
+# chaos lines are the audited chaos sweep) and the benchmark module's
+# tests. Each gate runs once.
 
 GO ?= go
 
@@ -51,17 +52,17 @@ escape:
 escape-update:
 	$(GO) run ./cmd/dcqcn-lint -escape -update
 
-# The pinned allocs/op budgets, the allocation contract's runtime half.
-# The race detector perturbs allocation counts and heap sizes, so these
-# tests sit in `!race` files that `race` never builds, and this gate is
-# the one plain-build run of every race-excluded test: the
-# `TestAllocBudget*` budgets, the escape parity table's
-# `TestParityAllocs` and the flight recorder's
-# `TestRetainedLiveMemoryBounded`. A test added to a `!race` file must
-# match this pattern. Every package is searched, so a budget added in a
-# new package is never left out.
+# The pinned allocs/op budgets, the allocation contract's runtime half,
+# and the retained-memory bounds. The race detector perturbs allocation
+# counts and heap sizes, so these tests sit in `!race` files that `race`
+# never builds, and this gate is the one plain-build run of every
+# race-excluded test: the `TestAllocBudget*` budgets, the escape parity
+# table's `TestParityAllocs` and the `TestRetained*` live-heap bounds
+# (the flight recorder's ring, a drained egress queue). A test added to
+# a `!race` file must match this pattern. Every package is searched, so
+# a budget added in a new package is never left out.
 alloc-budgets:
-	$(GO) test -run '^(TestAllocBudget|TestParityAllocs$$|TestRetainedLiveMemoryBounded$$)' -count=1 ./...
+	$(GO) test -run '^(TestAllocBudget|TestParityAllocs$$|TestRetained)' -count=1 ./...
 
 build:
 	$(GO) build ./...

@@ -142,8 +142,8 @@ func TestSwitchAssistSampler(t *testing.T) {
 			if h.Type != packet.Hint {
 				t.Fatalf("sampler emitted %v, want Hint", h.Type)
 			}
-			if h.HintQueueBytes != p.QMax {
-				t.Fatalf("hint occupancy %d, want %d", h.HintQueueBytes, p.QMax)
+			if h.HintQueueBytes() != p.QMax {
+				t.Fatalf("hint occupancy %d, want %d", h.HintQueueBytes(), p.QMax)
 			}
 		}
 	}

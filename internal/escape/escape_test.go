@@ -186,7 +186,7 @@ func TestAnalyzeEventq(t *testing.T) {
 // escape present in the tree but absent from the golden — exactly what
 // a fresh heap escape on the link path looks like to the audit — must
 // produce a failing, readable diff naming the site. It seeds the
-// deletion of fifo.grow's ring-buffer allocation from the golden.
+// deletion of newPauseExpiry's timer allocation from the golden.
 func TestSeededEscapeFailsAudit(t *testing.T) {
 	got, err := Analyze("../..", []string{"dcqcn/internal/link"})
 	if err != nil {
@@ -194,20 +194,20 @@ func TestSeededEscapeFailsAudit(t *testing.T) {
 	}
 	stale := &Report{}
 	for _, s := range got.Sites {
-		if s.Func == "fifo.grow" && strings.Contains(s.Msg, "make([]*packet.Packet, size)") {
+		if s.Func == "newPauseExpiry" && strings.Contains(s.Msg, "&pauseExpiry{}") {
 			continue // golden predates this escape
 		}
 		stale.Sites = append(stale.Sites, s)
 	}
 	if len(stale.Sites) == len(got.Sites) {
-		t.Fatalf("fifo.grow escape not reported; sites: %+v", got.Sites)
+		t.Fatalf("newPauseExpiry escape not reported; sites: %+v", got.Sites)
 	}
 	diffs := Compare(stale, got)
 	if len(diffs) == 0 {
-		t.Fatal("audit passed against a golden missing the fifo.grow escape")
+		t.Fatal("audit passed against a golden missing the newPauseExpiry escape")
 	}
 	joined := strings.Join(diffs, "\n")
-	if !strings.Contains(joined, "new escape") || !strings.Contains(joined, "fifo.grow") {
+	if !strings.Contains(joined, "new escape") || !strings.Contains(joined, "newPauseExpiry") {
 		t.Fatalf("diff does not name the seeded escape:\n%s", joined)
 	}
 }

@@ -38,7 +38,7 @@ func TestAllocBudgetForward(t *testing.T) {
 		Tuple:    packet.FiveTuple{Src: 2, Dst: dst, SrcPort: 7, DstPort: 8},
 		Priority: 3,
 	}
-	sw.HandlePacket(pkt, sw.Port(0)) // warm FIFO rings and queue heap
+	sw.HandlePacket(pkt, sw.Port(0)) // warm the event pool and heap
 	sim.RunAll()
 
 	avg := testing.AllocsPerRun(1000, func() {

@@ -33,7 +33,7 @@ func TestAllocBudgetTransmit(t *testing.T) {
 
 	pkt := &packet.Packet{Type: packet.Data, Size: 1000}
 	// One warm transmit outside the measurement settles lazy state
-	// (FIFO ring buffers, queue heap growth).
+	// (event pool and heap growth).
 	a.Enqueue(pkt)
 	sim.RunAll()
 

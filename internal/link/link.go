@@ -67,7 +67,10 @@ type Port struct {
 	link *Link
 	peer *Port
 
-	queues [packet.NumPriorities]fifo
+	// queues are the per-priority egress FIFOs. Each links its packets
+	// through the packets themselves, so a queue that drained after a
+	// burst holds nothing.
+	queues [packet.NumPriorities]packet.Queue
 	//acct: bytes waiting in the egress FIFOs, one slot per priority
 	queuedBytes [packet.NumPriorities]int64
 	pausedUntil [packet.NumPriorities]simtime.Time
@@ -207,7 +210,7 @@ func (p *Port) Enqueue(pkt *packet.Packet) {
 	if !p.Connected() {
 		panic(fmt.Sprintf("link: enqueue on unconnected port %s", p.Name))
 	}
-	p.queues[pkt.Priority].push(pkt)
+	p.queues[pkt.Priority].Push(pkt)
 	p.queuedBytes[pkt.Priority] += int64(pkt.Size)
 	if p.OnEnqueue != nil {
 		p.OnEnqueue(pkt)
@@ -287,7 +290,7 @@ func (p *Port) nextPacket() *packet.Packet {
 			p.deficits[prio] += p.drrQuantum
 			p.drrServing = true
 		}
-		if head := p.queues[prio].peek(); p.deficits[prio] >= int64(head.Size) {
+		if head := p.queues[prio].Peek(); p.deficits[prio] >= int64(head.Size) {
 			p.deficits[prio] -= int64(head.Size)
 			return p.popFrom(uint8(prio))
 		}
@@ -305,12 +308,12 @@ func (p *Port) nextPacket() *packet.Packet {
 //
 //hot:path
 func (p *Port) eligible(prio int, now simtime.Time) bool {
-	return !p.queues[prio].empty() && now >= p.pausedUntil[prio]
+	return !p.queues[prio].Empty() && now >= p.pausedUntil[prio]
 }
 
 //hot:path
 func (p *Port) popFrom(prio uint8) *packet.Packet {
-	pkt := p.queues[prio].pop()
+	pkt := p.queues[prio].Pop()
 	p.queuedBytes[prio] -= int64(pkt.Size)
 	return pkt
 }
@@ -703,64 +706,4 @@ func (l *Link) SetLossRate(p float64) {
 		}
 	}
 	l.lossRate = p
-}
-
-// fifo is a growable ring buffer of packets; a plain slice queue would
-// thrash the allocator at millions of packets per simulated second.
-type fifo struct {
-	buf        []*packet.Packet
-	head, tail int
-	n          int
-}
-
-//hot:path
-func (f *fifo) empty() bool { return f.n == 0 }
-
-//hot:path
-func (f *fifo) len() int { return f.n }
-
-//hot:path
-func (f *fifo) push(p *packet.Packet) {
-	if f.n == len(f.buf) {
-		f.grow()
-	}
-	f.buf[f.tail] = p
-	f.tail = (f.tail + 1) % len(f.buf)
-	f.n++
-}
-
-//hot:path
-func (f *fifo) peek() *packet.Packet {
-	if f.n == 0 {
-		return nil
-	}
-	return f.buf[f.head]
-}
-
-//hot:path
-func (f *fifo) pop() *packet.Packet {
-	if f.n == 0 {
-		return nil
-	}
-	p := f.buf[f.head]
-	f.buf[f.head] = nil
-	f.head = (f.head + 1) % len(f.buf)
-	f.n--
-	return p
-}
-
-// grow doubles the ring; amortized over the frames that pass through,
-// and the buffer is retained, so steady state never reallocates.
-//
-//hot:path
-func (f *fifo) grow() {
-	size := len(f.buf) * 2
-	if size == 0 {
-		size = 16
-	}
-	buf := make([]*packet.Packet, size)
-	for i := 0; i < f.n; i++ {
-		buf[i] = f.buf[(f.head+i)%len(f.buf)]
-	}
-	f.buf, f.head, f.tail = buf, 0, f.n
 }

@@ -248,38 +248,6 @@ func TestOnDeparture(t *testing.T) {
 	}
 }
 
-func TestFIFORing(t *testing.T) {
-	var f fifo
-	if !f.empty() || f.pop() != nil {
-		t.Fatal("zero fifo should be empty")
-	}
-	var pkts []*packet.Packet
-	for i := 0; i < 100; i++ {
-		p := packet.NewData(1, packet.FiveTuple{}, int64(i), 10, false)
-		pkts = append(pkts, p)
-		f.push(p)
-	}
-	// Interleave pops and pushes to exercise wraparound.
-	for i := 0; i < 50; i++ {
-		if got := f.pop(); got != pkts[i] {
-			t.Fatalf("pop %d returned wrong packet", i)
-		}
-	}
-	for i := 100; i < 200; i++ {
-		p := packet.NewData(1, packet.FiveTuple{}, int64(i), 10, false)
-		pkts = append(pkts, p)
-		f.push(p)
-	}
-	for i := 50; i < 200; i++ {
-		if got := f.pop(); got != pkts[i] {
-			t.Fatalf("pop %d returned wrong packet (wraparound)", i)
-		}
-	}
-	if !f.empty() {
-		t.Fatal("fifo should be empty after draining")
-	}
-}
-
 func TestConnectPanics(t *testing.T) {
 	sim := engine.New(1)
 	s := &sink{sim: sim}

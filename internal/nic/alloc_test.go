@@ -4,7 +4,9 @@
 // NIC's short FIFOs — flows stalled on the transmit backlog, CNPs
 // waiting for the pacer, packets in a slow receive pipeline — refill on
 // every PFC pause and marking burst, so a steady push/pop cycle must
-// reuse their backing arrays. Race builds skip the budgets.
+// allocate nothing: the stall list reuses its backing array, and the
+// packet queues link their packets through the packets themselves.
+// Race builds skip the budgets.
 
 package nic
 
@@ -38,7 +40,7 @@ func TestAllocBudgetPopFront(t *testing.T) {
 
 // TestAllocBudgetRxPipeline drives two packets at a time through a
 // rate-limited receive pipeline (HandlePacket queues both, the run
-// drains them): the queue must reuse its backing array.
+// drains them): the queue must allocate nothing.
 func TestAllocBudgetRxPipeline(t *testing.T) {
 	sim := engine.New(1)
 	cfg := DefaultConfig()
@@ -51,7 +53,7 @@ func TestAllocBudgetRxPipeline(t *testing.T) {
 		n.HandlePacket(b, n.Port())
 		sim.RunAll()
 	}
-	cycle() // warm: the queue's backing array and the event pool
+	cycle() // warm: the event pool
 	avg := testing.AllocsPerRun(1000, cycle)
 	if avg != 0 {
 		t.Errorf("receive pipeline allocates %.2f objects per cycle, budget is 0", avg)

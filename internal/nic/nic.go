@@ -138,13 +138,13 @@ type NIC struct {
 	nextFlow  int32
 
 	lastCNPAt  simtime.Time
-	cnpQueue   []*packet.Packet
+	cnpQueue   packet.Queue
 	cnpDrainer eventq.Handle // pending CNP pacing event
 	// drain is drainCNPs bound once at construction, so scheduling the
 	// CNP pacer does not allocate a method-value closure per CNP.
 	drain func()
 
-	rxQueue []*packet.Packet
+	rxQueue packet.Queue
 	//acct: bytes queued in the receive pipeline awaiting processing
 	rxBacklog int64
 	// rxPkt is the packet the receive pipeline is processing, nil when
@@ -408,7 +408,7 @@ func (n *NIC) DataPriority() uint8 { return n.dataPriority() }
 // while earlier arrivals are still draining (a just-cleared slow-receiver
 // fault), preserving delivery order across the rate change.
 func (n *NIC) HandlePacket(p *packet.Packet, _ *link.Port) {
-	if n.cfg.RxProcessingRate > 0 || n.rxPkt != nil || len(n.rxQueue) > 0 {
+	if n.cfg.RxProcessingRate > 0 || n.rxPkt != nil || !n.rxQueue.Empty() {
 		n.rxEnqueue(p)
 		return
 	}
@@ -417,7 +417,7 @@ func (n *NIC) HandlePacket(p *packet.Packet, _ *link.Port) {
 
 // rxEnqueue models the finite-rate receive pipeline.
 func (n *NIC) rxEnqueue(p *packet.Packet) {
-	n.rxQueue = append(n.rxQueue, p)
+	n.rxQueue.Push(p)
 	n.rxBacklog += int64(p.Size)
 	if !n.rxPausing && n.cfg.RxPFCThreshold > 0 && n.rxBacklog > n.cfg.RxPFCThreshold {
 		n.rxPausing = true
@@ -438,10 +438,10 @@ func (n *NIC) sendRxPause() {
 }
 
 func (n *NIC) rxKick() {
-	if n.rxPkt != nil || len(n.rxQueue) == 0 {
+	if n.rxPkt != nil || n.rxQueue.Empty() {
 		return
 	}
-	p := popFront(&n.rxQueue)
+	p := n.rxQueue.Pop()
 	n.rxPkt = p
 	// Rate zero means the pipeline constraint was lifted mid-run: drain
 	// the residue with zero-delay events to keep ordering.
@@ -510,11 +510,11 @@ func (n *NIC) consume(p *packet.Packet) {
 		}
 	case packet.QCNFb:
 		if fs, ok := n.senders[p.Flow]; ok && fs.qcn != nil {
-			fs.qcn.OnQCNFeedback(p.QCNFeedback)
+			fs.qcn.OnQCNFeedback(p.QCNFeedback())
 		}
 	case packet.Hint:
 		if fs, ok := n.senders[p.Flow]; ok && fs.hint != nil {
-			fs.hint.OnSwitchHint(cc.SwitchHint{QueueBytes: p.HintQueueBytes})
+			fs.hint.OnSwitchHint(cc.SwitchHint{QueueBytes: p.HintQueueBytes()})
 		}
 	default:
 		// PFC frames are consumed by the port; anything else is a bug.
@@ -561,7 +561,7 @@ func (n *NIC) emitCNP(flow packet.FlowID, tuple packet.FiveTuple) {
 		n.sendCNP(cnp)
 		return
 	}
-	n.cnpQueue = append(n.cnpQueue, cnp)
+	n.cnpQueue.Push(cnp)
 	n.drainCNPs()
 }
 
@@ -569,7 +569,7 @@ func (n *NIC) drainCNPs() {
 	if n.cnpDrainer.Pending() {
 		return
 	}
-	for len(n.cnpQueue) > 0 {
+	for !n.cnpQueue.Empty() {
 		now := n.sim.Now()
 		ready := n.lastCNPAt.Add(n.cfg.CNPPacing)
 		if n.lastCNPAt == 0 && n.Stats.CNPsSent == 0 {
@@ -579,8 +579,7 @@ func (n *NIC) drainCNPs() {
 			n.cnpDrainer = n.sim.At(ready, n.drain)
 			return
 		}
-		cnp := popFront(&n.cnpQueue)
-		n.sendCNP(cnp)
+		n.sendCNP(n.cnpQueue.Pop())
 	}
 }
 
@@ -596,8 +595,7 @@ func (n *NIC) sendCNP(cnp *packet.Packet) {
 // popFront removes and returns the head of a short FIFO kept in a slice.
 // It shifts the rest down instead of reslicing past the head, which
 // would shrink the capacity until every append reallocates: the stall
-// list, the CNP queue and a slow receive pipeline refill constantly
-// under PFC and marking.
+// list refills constantly under PFC and marking.
 func popFront[T any](q *[]T) T {
 	s := *q
 	head := s[0]

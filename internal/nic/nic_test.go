@@ -166,7 +166,7 @@ func TestQCNFeedbackDispatch(t *testing.T) {
 	tb := newTestbed(5, 2, cfg, fabric.DefaultConfig())
 	f := tb.nics[0].OpenFlow(2)
 	// Hand-deliver a QCN feedback frame to the sender NIC.
-	fb := &packet.Packet{Type: packet.QCNFb, Flow: f.ID(), Size: 64, QCNFeedback: -0.5}
+	fb := packet.NewQCNFb(f.ID(), f.Tuple(), -0.5)
 	tb.nics[0].HandlePacket(fb, nil)
 	if len(stub.got) != 1 || stub.got[0] != -0.5 {
 		t.Fatalf("QCN feedback not dispatched: %v", stub.got)

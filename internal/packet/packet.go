@@ -8,7 +8,7 @@
 // addresses and ECN bits for the switches, priorities for PFC, packet
 // sequence numbers for the transport.
 //
-// Ownership. A packet has one owner at a time — a sender, a FIFO, a
+// Ownership. A packet has one owner at a time — a sender, a Queue, a
 // wire, a receiving device — and one last use: a NIC consumes it, a port
 // acts on a PFC frame, or a switch or link drops it. At that point the
 // owner calls Release, which returns the packet to the Pool of the
@@ -19,10 +19,17 @@
 // the pointer: after its last use the packet is rebuilt as another one.
 // Packets built without a pool (the package-level constructors, test
 // literals, DCTCP, QCN and switch-assist feedback) ignore Release.
+//
+// Queues. Every packet FIFO of the model — a port's per-priority egress
+// queues, a NIC's receive pipeline and CNP queue — is a Queue, linked
+// through the packets themselves, so a packet sits in at most one queue
+// at a time. Pushing a packet that is already queued panics, and so does
+// releasing one.
 package packet
 
 import (
 	"fmt"
+	"math"
 
 	"dcqcn/internal/simtime"
 )
@@ -100,10 +107,11 @@ type FiveTuple struct {
 // by exactly one queue, link or device at a time; they are never shared.
 //
 // Fields are ordered by alignment, widest first, so the struct carries no
-// padding beyond FiveTuple's own: 96 bytes with the pool pointer, which
-// fills Go's 96-byte allocation size class exactly (TestPacketSize). A
-// data packet's payload length is derived from Size (Payload), not
-// stored.
+// padding beyond FiveTuple's own: 96 bytes with the pool pointer and the
+// queue link, which fills Go's 96-byte allocation size class exactly
+// (TestPacketSize). A data packet's payload length is derived from Size
+// (Payload), not stored, and the QCN feedback and the hint occupancy
+// share one word.
 type Packet struct {
 	// Size is the wire size in bytes, including all headers.
 	Size int
@@ -112,13 +120,11 @@ type Packet struct {
 	// expected PSN for Ack and Nack.
 	PSN int64
 
-	// QCNFeedback is the quantized congestion feedback value carried by
-	// QCN frames (baseline only).
-	QCNFeedback float64
-
-	// HintQueueBytes is the egress occupancy a switch-assist Hint frame
-	// reports back to the flow's source (internal/cc switch-assist).
-	HintQueueBytes int64
+	// feedback is the one value a feedback frame carries, read through
+	// QCNFeedback (a QCNFb frame's quantized feedback, as float64 bits)
+	// and HintQueueBytes (a Hint frame's egress occupancy, as an int64).
+	// No frame carries both, so they share the word.
+	feedback uint64
 
 	// AckPayload, with AckCount and AckMarked below, summarizes what a
 	// cumulative ACK newly acknowledges: its payload bytes, the in-order
@@ -135,6 +141,9 @@ type Packet struct {
 	// pool is the free list the packet returns to on Release; nil for a
 	// packet built without one.
 	pool *Pool
+	// next links the packet to the one behind it in its Queue: &end at
+	// the tail, nil when the packet is in no queue.
+	next *Packet
 
 	Flow      FlowID
 	AckCount  int32
@@ -225,10 +234,13 @@ const released Type = 0xff
 // device consumed it, or a switch or link dropped it. Nothing may touch
 // p afterwards: the pool's next constructor call overwrites it. On a
 // packet built without a pool Release does nothing. Releasing a packet
-// twice panics.
+// twice, or one that is still in a Queue, panics.
 //
 //hot:path
 func (p *Packet) Release() {
+	if p.next != nil {
+		panic(errReleaseQueued)
+	}
 	pl := p.pool
 	if pl == nil {
 		return
@@ -365,13 +377,47 @@ func NewPFC(prio uint8, on bool) *Packet {
 // are switch-originated and rare, so they take no pool.
 func NewHint(f FlowID, tuple FiveTuple, qlen int64) *Packet {
 	return &Packet{
-		Type:           Hint,
-		Flow:           f,
-		Tuple:          tuple.Reverse(),
-		Size:           ControlBytes,
-		Priority:       PrioControl,
-		HintQueueBytes: qlen,
+		Type:     Hint,
+		Flow:     f,
+		Tuple:    tuple.Reverse(),
+		Size:     ControlBytes,
+		Priority: PrioControl,
+		feedback: uint64(qlen),
 	}
+}
+
+// NewQCNFb builds a QCN congestion feedback frame carrying the quantized
+// feedback fb, addressed back to the source of the sampled packet whose
+// tuple is given. QCN is a baseline whose congestion points sample
+// rarely, so its frames take no pool.
+func NewQCNFb(f FlowID, tuple FiveTuple, fb float64) *Packet {
+	return &Packet{
+		Type:     QCNFb,
+		Flow:     f,
+		Tuple:    tuple.Reverse(),
+		Size:     ControlBytes,
+		Priority: PrioControl,
+		feedback: math.Float64bits(fb),
+	}
+}
+
+// QCNFeedback returns the quantized congestion feedback of a QCNFb
+// frame: 0 for every other kind.
+func (p *Packet) QCNFeedback() float64 {
+	if p.Type != QCNFb {
+		return 0
+	}
+	return math.Float64frombits(p.feedback)
+}
+
+// HintQueueBytes returns the egress occupancy a switch-assist Hint frame
+// reports back to the flow's source (internal/cc switch-assist): 0 for
+// every other kind.
+func (p *Packet) HintQueueBytes() int64 {
+	if p.Type != Hint {
+		return 0
+	}
+	return int64(p.feedback)
 }
 
 // Reverse returns the tuple of the reverse direction of the flow.

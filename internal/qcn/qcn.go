@@ -105,15 +105,7 @@ func (c *CP) Sample(p *packet.Packet, qlen int64) *packet.Packet {
 	}
 	quant := math.Min(-fb/float64(c.cfg.QEq)*c.cfg.MaxFb, c.cfg.MaxFb)
 	c.FeedbackSent++
-	out := &packet.Packet{
-		Type:        packet.QCNFb,
-		Flow:        p.Flow,
-		Tuple:       p.Tuple.Reverse(),
-		Size:        packet.ControlBytes,
-		Priority:    packet.PrioControl,
-		QCNFeedback: quant,
-	}
-	return out
+	return packet.NewQCNFb(p.Flow, p.Tuple, quant)
 }
 
 // RP is the QCN reaction point: DCQCN's increase machinery (inherited

@@ -32,8 +32,8 @@ func TestCPFeedbackSign(t *testing.T) {
 	if fb.Type != packet.QCNFb {
 		t.Fatalf("feedback type %v", fb.Type)
 	}
-	if fb.QCNFeedback <= 0 || fb.QCNFeedback > cfg.MaxFb {
-		t.Fatalf("quantized feedback %g out of (0,%g]", fb.QCNFeedback, cfg.MaxFb)
+	if fb.QCNFeedback() <= 0 || fb.QCNFeedback() > cfg.MaxFb {
+		t.Fatalf("quantized feedback %g out of (0,%g]", fb.QCNFeedback(), cfg.MaxFb)
 	}
 	if fb.Tuple.Dst != 1 {
 		t.Fatalf("feedback addressed to %d, want source 1", fb.Tuple.Dst)
