@@ -193,27 +193,19 @@ func TestGoldenDigests(t *testing.T) {
 			reg := testRegistry(t, row.fid)
 			got := make(map[string]string)
 			for _, sc := range reg.All() {
-				var engaged func() error
-				if row.arm != nil {
-					engaged = row.arm()
+				res, err := runGolden(sc, row.arm)
+				if err != nil {
+					t.Errorf("scenario %q: %v", sc.Name, err)
 				}
-				res := sc.Run(harness.RunContext{
-					Scenario: sc.Name,
-					Point:    sc.Points[0],
-					PointIdx: 0,
-					Seed:     0,
-				})
+				if res == nil {
+					continue // the run panicked: it has no digest
+				}
 				got[sc.Name] = res.Digest.String()
 				if row.checkNames {
 					for name := range res.Metrics {
 						if !metricName.MatchString(name) {
 							t.Errorf("scenario %q: metric %q is not an artifact name (%s)", sc.Name, name, metricName)
 						}
-					}
-				}
-				if engaged != nil {
-					if err := engaged(); err != nil {
-						t.Errorf("scenario %q: %v", sc.Name, err)
 					}
 				}
 			}
@@ -223,6 +215,35 @@ func TestGoldenDigests(t *testing.T) {
 			}
 		})
 	}
+}
+
+// runGolden runs sc's seed-0 run on its first grid point with the row's
+// mechanism armed, and returns the run and the arming check's error. A
+// panic in the run, such as a chaos scenario's own MustClean on a
+// breach, becomes the error, with a nil result, instead of ending the
+// test binary; the mechanism is disarmed either way.
+func runGolden(sc harness.Scenario, arm func() func() error) (res *harness.RunResult, err error) {
+	var engaged func() error
+	if arm != nil {
+		engaged = arm()
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("run panicked: %v", r)
+		}
+		if engaged != nil {
+			if e := engaged(); err == nil {
+				err = e
+			}
+		}
+	}()
+	rr := sc.Run(harness.RunContext{
+		Scenario: sc.Name,
+		Point:    sc.Points[0],
+		PointIdx: 0,
+		Seed:     0,
+	})
+	return &rr, nil
 }
 
 // TestPinnedDCQCNRunsIgnoreCC checks that the scenarios whose first
@@ -251,20 +272,25 @@ func TestPinnedDCQCNRunsIgnoreCC(t *testing.T) {
 }
 
 // checkGolden compares one matrix row's digests with the golden table.
-// Only the plain row prints a replacement table: a mismatch in an armed
-// row indicts the armed mechanism, not the table.
+// A scenario whose run panicked has no digest in got; the row reported
+// it already. Only the plain row prints a replacement table: a mismatch
+// in an armed row indicts the armed mechanism, not the table.
 func checkGolden(t *testing.T, names []string, got map[string]string, blame string) {
 	t.Helper()
 	mismatch := false
 	firstDiverged := ""
+	registered := make(map[string]bool, len(names))
 	for _, name := range names {
+		registered[name] = true
 		want, ok := goldenDigests[name]
+		digest, ran := got[name]
 		switch {
 		case !ok:
 			t.Errorf("scenario %q has no golden digest", name)
 			mismatch = true
-		case got[name] != want:
-			msg := diagnoseDigest(got[name], want)
+		case !ran: // the run panicked, which the row reported
+		case digest != want:
+			msg := diagnoseDigest(digest, want)
 			if blame != "" {
 				msg += " — " + blame
 			}
@@ -279,7 +305,7 @@ func checkGolden(t *testing.T, names []string, got map[string]string, blame stri
 		t.Logf("first diverging scenario in registration order: %q — rerun it alone with `go test -run TestGoldenDigests/plain` after re-pinning, or bisect the model change against it", firstDiverged)
 	}
 	for name := range goldenDigests {
-		if _, ok := got[name]; !ok {
+		if !registered[name] {
 			t.Errorf("golden digest for unregistered scenario %q", name)
 			mismatch = true
 		}
@@ -287,7 +313,9 @@ func checkGolden(t *testing.T, names []string, got map[string]string, blame stri
 	if mismatch && blame == "" {
 		var b strings.Builder
 		for _, name := range names {
-			fmt.Fprintf(&b, "\t%q: %q,\n", name, got[name])
+			if digest, ran := got[name]; ran {
+				fmt.Fprintf(&b, "\t%q: %q,\n", name, digest)
+			}
 		}
 		t.Logf("replacement golden table:\n%s", b.String())
 	}
