@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 
+	"dcqcn/internal/engine"
+	"dcqcn/internal/harness"
 	"dcqcn/internal/simtime"
 )
 
@@ -19,8 +21,8 @@ func TestChaosPauseStormPathology(t *testing.T) {
 	const fairShareGbps = 20.0
 
 	for _, mode := range []Mode{ModePFCOnly, ModeDCQCN} {
-		m, dig := ChaosPauseStormRun(mode, 0, fid)
 		label := modeLabel(mode)
+		m, dig := pauseStormRun(t, label, mode, fid)
 
 		if base := m["innocent_base_gbps"]; base < 1 {
 			t.Fatalf("%s: innocent flow barely moved before the storm (%.2f Gbps); scenario broken", label, base)
@@ -41,7 +43,7 @@ func TestChaosPauseStormPathology(t *testing.T) {
 			t.Errorf("%s: %v drops in a lossless fabric", label, m["drops"])
 		}
 
-		m2, dig2 := ChaosPauseStormRun(mode, 0, fid)
+		m2, dig2 := pauseStormRun(t, label, mode, fid)
 		if dig.String() != dig2.String() {
 			t.Errorf("%s: same seed, different digests: %s vs %s", label, dig, dig2)
 		}
@@ -49,4 +51,18 @@ func TestChaosPauseStormPathology(t *testing.T) {
 			t.Errorf("%s: metrics differ across identical runs", label)
 		}
 	}
+}
+
+// pauseStormRun runs the pause-storm scenario's seed-0 run. A panic in
+// it, such as the scenario's own MustClean on a conservation breach,
+// fails this test instead of ending the test binary, so the golden
+// matrix still runs and reports the breach per scenario.
+func pauseStormRun(t *testing.T, label string, mode Mode, fid Fidelity) (harness.Metrics, engine.Digest) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("%s: run panicked: %v", label, r)
+		}
+	}()
+	return ChaosPauseStormRun(mode, 0, fid)
 }

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -162,18 +164,37 @@ var metricName = regexp.MustCompile(`^[a-z0-9_]+$`)
 // the conservation auditor attached to each network the scenario
 // builds. The armed rows are passivity gates — the flight recorder
 // armed, and the hybrid substrate armed at zero background flows, must
-// not perturb any run — and each proves it is not vacuous: the
-// recorder must capture events in every scenario, and the same hybrid
-// arming at 1000 flows (audited too) must move incast off its golden.
+// not perturb any run — so each scenario's metrics must also equal the
+// plain row's, bit for bit: the digest hashes only each event's time
+// and ordinal, and a hook that bumps a reported counter schedules
+// nothing. Each armed row proves it is not vacuous: the recorder must
+// capture events in every scenario, and the same hybrid arming at 1000
+// flows (audited too) must move incast off its golden.
 func TestGoldenDigests(t *testing.T) {
 	defer flightrec.Disarm()
 	hybridOff := goldenFid()
 	hybridOff.Hybrid = true
+	// plain holds the plain row's metrics per scenario, the armed rows'
+	// reference; a row run on its own computes the reference unarmed.
+	plain := make(map[string]harness.Metrics)
+	base := testRegistry(t, goldenFid())
+	reference := func(name string) harness.Metrics {
+		if m, ok := plain[name]; ok {
+			return m
+		}
+		sc, _ := base.Get(name)
+		if res, _ := runGolden(sc, nil); res != nil {
+			plain[name] = res.Metrics
+			return res.Metrics
+		}
+		return nil // the plain run panicked too, and has no metrics
+	}
 	rows := []struct {
 		name string
 		fid  Fidelity
-		// blame names what a digest mismatch in this row indicts; empty
-		// for the plain row, whose mismatches are model changes.
+		// blame names what a digest or metric mismatch in this row
+		// indicts; empty for the plain row, whose mismatches are model
+		// changes and whose metrics are the reference.
 		blame string
 		// arm, if set, arms the row's mechanism before one scenario's
 		// run and returns the check that it engaged in that run.
@@ -201,6 +222,13 @@ func TestGoldenDigests(t *testing.T) {
 					continue // the run panicked: it has no digest
 				}
 				got[sc.Name] = res.Digest.String()
+				if row.blame == "" {
+					plain[sc.Name] = res.Metrics
+				} else if want := reference(sc.Name); want != nil {
+					if d := diffMetrics(want, res.Metrics); len(d) > 0 {
+						t.Errorf("scenario %q: metrics differ from the plain row: %s — %s", sc.Name, strings.Join(d, "; "), row.blame)
+					}
+				}
 				if row.checkNames {
 					for name := range res.Metrics {
 						if !metricName.MatchString(name) {
@@ -388,6 +416,61 @@ func hybridReachesScenarios(t *testing.T, fid Fidelity) {
 	}
 	if res.Digest.String() == goldenDigests["incast"] {
 		t.Error("incast digest unchanged with 1000 background flows — hybrid arming is not reaching the scenarios")
+	}
+}
+
+// diffMetrics lists where got differs from want, one line per metric in
+// key order: a value whose bits differ, a key got lacks, a key want
+// lacks. Values compare by math.Float64bits, so a NaN metric equals
+// itself: == is false on NaN, and json.Marshal rejects it.
+func diffMetrics(want, got harness.Metrics) []string {
+	keys := make([]string, 0, len(want)+len(got))
+	for k := range want {
+		keys = append(keys, k)
+	}
+	for k := range got {
+		if _, ok := want[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	var diffs []string
+	for _, k := range keys {
+		w, inWant := want[k]
+		g, inGot := got[k]
+		switch {
+		case !inGot:
+			diffs = append(diffs, fmt.Sprintf("%q missing (plain row: %v)", k, w))
+		case !inWant:
+			diffs = append(diffs, fmt.Sprintf("%q = %v, not reported by the plain row", k, g))
+		case math.Float64bits(g) != math.Float64bits(w):
+			diffs = append(diffs, fmt.Sprintf("%q = %v, plain row %v", k, g, w))
+		}
+	}
+	return diffs
+}
+
+func TestDiffMetrics(t *testing.T) {
+	nan := math.NaN()
+	base := harness.Metrics{"forwarded": 90972, "ratio": nan, "zero": 0}
+	if d := diffMetrics(base, harness.Metrics{"forwarded": 90972, "ratio": nan, "zero": 0}); len(d) != 0 {
+		t.Errorf("equal metrics, NaN included: got %q, want no difference", d)
+	}
+	cases := []struct {
+		name     string
+		got      harness.Metrics
+		fragment string
+	}{
+		{"changed value", harness.Metrics{"forwarded": 121324, "ratio": nan, "zero": 0}, `"forwarded" = 121324, plain row 90972`},
+		{"negative zero", harness.Metrics{"forwarded": 90972, "ratio": nan, "zero": math.Copysign(0, -1)}, `"zero" = -0, plain row 0`},
+		{"missing key", harness.Metrics{"forwarded": 90972, "ratio": nan}, `"zero" missing`},
+		{"extra key", harness.Metrics{"forwarded": 90972, "ratio": nan, "zero": 0, "marked": 1}, `"marked" = 1, not reported by the plain row`},
+	}
+	for _, c := range cases {
+		d := diffMetrics(base, c.got)
+		if len(d) != 1 || !strings.Contains(d[0], c.fragment) {
+			t.Errorf("%s: got %q, want one difference containing %q", c.name, d, c.fragment)
+		}
 	}
 }
 
