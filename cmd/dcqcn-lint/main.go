@@ -1,10 +1,9 @@
-// Command dcqcn-lint is the contract multichecker: it runs the 10
+// Command dcqcn-lint is the contract multichecker: it runs the 7
 // internal/lint analyzers (walltime, globalrand, maporder, floateq,
-// simtime, noconc, eventpast, acctfield, hotchain, hookpassive) over
-// the requested packages and exits non-zero on findings. `make lint`
-// wires it into `make check`, so contract violations fail before any
-// simulation runs. The analyzers share one call-graph summary per
-// invocation (internal/lint/callgraph).
+// simtime, noconc, hotchain) over the requested packages, one package
+// at a time, and exits non-zero on findings. `make lint` wires it into
+// `make check`, so contract violations fail before any simulation
+// runs.
 //
 // Usage:
 //

@@ -110,16 +110,16 @@ type Switch struct {
 	// numbers nodes from 1), so AddRoute grows it to the largest ID.
 	routes [][]int
 
-	//acct: shared-buffer bytes currently held
+	// Accounting: shared-buffer bytes currently held
 	occupied int64
-	//acct: shared-buffer bytes per (ingress port, priority)
+	// Accounting: shared-buffer bytes per (ingress port, priority)
 	ingress [][packet.NumPriorities]int64
 	pausing [][packet.NumPriorities]bool
 	// acct tracks lifetime bytes through the shared buffer per ingress
 	// port; the invariant auditor, where attached, checks admitted ==
 	// departed + buffered and wireIn == admitted + dropped + PFC control
 	// bytes at every departure.
-	//acct: lifetime admitted/departed/dropped bytes per ingress port
+	// Accounting: lifetime admitted/departed/dropped bytes per ingress port
 	acct []PortAccounting
 
 	// Sampler, if set, observes data packets at egress enqueue time and

@@ -71,7 +71,7 @@ type Port struct {
 	// through the packets themselves, so a queue that drained after a
 	// burst holds nothing.
 	queues [packet.NumPriorities]packet.Queue
-	//acct: bytes waiting in the egress FIFOs, one slot per priority
+	// Accounting: bytes waiting in the egress FIFOs, one slot per priority
 	queuedBytes [packet.NumPriorities]int64
 	pausedUntil [packet.NumPriorities]simtime.Time
 	busy        bool
@@ -496,9 +496,9 @@ type Link struct {
 	// of Connect.
 	lossRate float64
 	lossRng  [2]*rand.Rand
-	//acct: frames dropped by random loss, per direction
+	// Accounting: frames dropped by random loss, per direction
 	lost [2]int64
-	//acct: bytes dropped by random loss, per direction
+	// Accounting: bytes dropped by random loss, per direction
 	lostBytes [2]int64
 
 	// down models a failed cable (fault injection): while set, every
@@ -525,17 +525,17 @@ type Link struct {
 	// the packet included); unlike DropHook it cannot influence the
 	// outcome, so observers and the fault injector never conflict.
 	OnDrop func(from *Port, pkt *packet.Packet, reason DropReason)
-	//acct: frames dropped by injected faults on entry (down links, DropHook), per direction
+	// Accounting: frames dropped by injected faults on entry (down links, DropHook), per direction
 	entryFaultDrops [2]int64
-	//acct: frames killed in flight by a flap, per direction
+	// Accounting: frames killed in flight by a flap, per direction
 	flapFaultDrops [2]int64
-	//acct: bytes dropped by injected faults on entry, per direction
+	// Accounting: bytes dropped by injected faults on entry, per direction
 	entryFaultDropBytes [2]int64
-	//acct: bytes killed in flight by a flap, per direction
+	// Accounting: bytes killed in flight by a flap, per direction
 	flapFaultDropBytes [2]int64
-	//acct: bytes serialized onto the wire, per direction (written by the sender side)
+	// Accounting: bytes serialized onto the wire, per direction (written by the sender side)
 	sentBytes [2]int64
-	//acct: bytes whose propagation ended, arrived or flap-killed, per direction (written by the receiver side)
+	// Accounting: bytes whose propagation ended, arrived or flap-killed, per direction (written by the receiver side)
 	arrivedBytes [2]int64
 }
 

@@ -4,7 +4,7 @@
 // go/types. The module has no third-party dependencies, so x/tools is
 // not vendored; the contract analyzers only need the single-pass subset
 // reimplemented here (no facts, no cross-analyzer requires, no
-// suggested fixes), plus the shared call graph every pass carries.
+// suggested fixes).
 package analysis
 
 import (
@@ -12,8 +12,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"dcqcn/internal/lint/callgraph"
 )
 
 // Analyzer describes one static check.
@@ -41,10 +39,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	Report    func(Diagnostic)
-
-	// Graph is the interprocedural call-graph summary the driver built
-	// over every package in the run.
-	Graph *callgraph.Graph
 }
 
 // Reportf reports a formatted diagnostic at pos.

@@ -38,19 +38,6 @@ func TestNoconc(t *testing.T) {
 	analysistest.Run(t, lint.Noconc, "noconc/model", "noconc/harness")
 }
 
-func TestEventpast(t *testing.T) {
-	analysistest.Run(t, lint.Eventpast, "eventpast/a")
-}
-
-func TestAcctfield(t *testing.T) {
-	analysistest.Run(t, lint.Acctfield, "acctfield/a")
-}
-
 func TestHotchain(t *testing.T) {
 	analysistest.Run(t, lint.Hotchain, "hotchain/a")
-}
-
-func TestHookpassive(t *testing.T) {
-	analysistest.Run(t, lint.Hookpassive,
-		"hookpassive/model", "hookpassive/hooks", "hookpassive/engine")
 }

@@ -5,7 +5,6 @@ import (
 	"go/types"
 
 	"dcqcn/internal/lint/analysis"
-	"dcqcn/internal/lint/callgraph"
 )
 
 // Globalrand forbids the process-global math/rand source in model
@@ -17,11 +16,7 @@ import (
 // sanctioned constructor sites are the engine package's New (the
 // primary source) and Sim.NewStream (derived auxiliary streams).
 //
-// Calls into exempt packages (cmd, harness) are judged by the shared
-// call graph (DESIGN.md §14): a model call whose callee transitively
-// draws from the global source or constructs a rand source is flagged
-// at the call site, where the per-package scan cannot see. A
-// package-level *rand.Rand in model code is flagged too: an ambient
+// A package-level *rand.Rand in model code is flagged too: an ambient
 // stream is not threaded from the Sim, so it cannot be derived from
 // the run seed, and every user shares its cursor.
 var Globalrand = &analysis.Analyzer{
@@ -39,6 +34,22 @@ var randConstructorHosts = map[string]bool{
 	"NewStream": true,
 }
 
+// randPackages are the import paths whose package-level state is the
+// process-global source.
+var randPackages = map[string]bool{
+	"math/rand":    true,
+	"math/rand/v2": true,
+}
+
+// randConstructors are the rand-source constructors only
+// engine.New/NewStream may call.
+var randConstructors = map[string]bool{
+	"New":        true,
+	"NewSource":  true,
+	"NewPCG":     true,
+	"NewChaCha8": true,
+}
+
 func runGlobalrand(pass *analysis.Pass) error {
 	if ExemptFromModelRules(pass.Pkg.Path()) {
 		return nil
@@ -50,20 +61,12 @@ func runGlobalrand(pass *analysis.Pass) error {
 			inEngineNew := fn != nil && randConstructorHosts[fn.Name.Name] &&
 				pass.Pkg.Name() == "engine"
 			ast.Inspect(decl, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					// Interprocedural half: a helper in an exempt package
-					// drawing from the global source on model code's behalf.
-					checkLaunderedEffect(pass, call, callgraph.ReadsGlobalRand,
-						"model randomness must come from engine.Sim.Rand() or an injected *rand.Rand")
-					checkLaunderedEffect(pass, call, callgraph.ConstructsRand,
-						"derive streams with engine.Sim.NewStream instead")
-				}
 				sel, ok := n.(*ast.SelectorExpr)
 				if !ok {
 					return true
 				}
 				pn := pkgNameOf(pass.TypesInfo, sel.X)
-				if pn == nil || !callgraph.RandPackages[pn.Imported().Path()] {
+				if pn == nil || !randPackages[pn.Imported().Path()] {
 					return true
 				}
 				obj := pass.TypesInfo.Uses[sel.Sel]
@@ -77,7 +80,7 @@ func runGlobalrand(pass *analysis.Pass) error {
 					return true
 				}
 				name := sel.Sel.Name
-				if callgraph.RandConstructors[name] {
+				if randConstructors[name] {
 					if !inEngineNew {
 						pass.Reportf(sel.Pos(),
 							"rand.%s outside engine.New/NewStream: simulations must get sources from the engine (Sim.Rand, Sim.NewStream), not construct their own",

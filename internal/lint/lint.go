@@ -8,12 +8,10 @@
 // enforced here at analysis time, so violations fail `make check`
 // instead of surfacing as digest mismatches after an N-run sweep.
 //
-// A second family (DESIGN.md, "Physics contract") guards the model's
-// physical bookkeeping: noconc keeps model packages single-threaded,
-// eventpast keeps event scheduling out of the simulated past, and
-// acctfield keeps //acct:-tagged conservation counters writable only by
-// their owning types. The runtime half of that contract is the
-// conservation auditor in internal/invariant.
+// A second family (DESIGN.md, "Physics contract") is one analyzer:
+// noconc keeps model packages single-threaded. The rest of that
+// contract is held at run time, by the engine's past-event panic and
+// the conservation auditor in internal/invariant.
 //
 // A third family (DESIGN.md, "Hot-path allocation contract") is one
 // analyzer: hotchain forbids per-event hook chaining inside
@@ -22,12 +20,9 @@
 // internal/escape (`dcqcn-lint -escape`) and the AllocsPerRun budget
 // tests in the hot packages.
 //
-// The fourth family (DESIGN.md §14) is interprocedural: hookpassive
-// judges hook subscribers by what they can transitively do. It reads
-// the internal/lint/callgraph effect summaries, as do walltime and
-// globalrand (for calls laundered through exempt packages), maporder
-// (for effectful callees) and acctfield (for //acct: writes). Run
-// builds one graph per invocation and every pass shares it.
+// Every analyzer judges one package at a time, and one is kept only
+// where the runtime gates miss some of what it flags; DESIGN.md §14
+// records each one's planted violations and which gate, if any, failed.
 //
 // One waiver grammar covers every analyzer: `//lint:allow <analyzer>
 // <reason>` on the flagged line or the line above it (see Run).
@@ -37,23 +32,20 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"dcqcn/internal/lint/analysis"
-	"dcqcn/internal/lint/callgraph"
 )
 
-// All returns the 10 contract analyzers in stable order: the
+// All returns the 7 contract analyzers in stable order: the
 // determinism family (walltime, globalrand, maporder, floateq,
-// simtime), the physics/concurrency family (noconc, eventpast,
-// acctfield — see DESIGN.md §9), the hot-path family (hotchain — see
-// DESIGN.md §12), and the interprocedural family (hookpassive — see
-// DESIGN.md §14).
+// simtime), the concurrency rule (noconc — see DESIGN.md §9) and the
+// hot-path family (hotchain — see DESIGN.md §12).
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Walltime, Globalrand, Maporder, Floateq, Simtime,
-		Noconc, Eventpast, Acctfield,
+		Noconc,
 		Hotchain,
-		Hookpassive,
 	}
 }
 
@@ -63,10 +55,14 @@ func All() []*analysis.Analyzer {
 // "cmd") and the sweep harness (element "harness"), whose provenance
 // artifacts record real timestamps by design. Everything else in the
 // module is model code. Test files are exempt too, but the loader never
-// feeds them to analyzers in the first place. The call graph's
-// model-state rule uses the same definition.
+// feeds them to analyzers in the first place.
 func ExemptFromModelRules(pkgPath string) bool {
-	return callgraph.ExemptFromModelRules(pkgPath)
+	for _, el := range strings.Split(pkgPath, "/") {
+		if el == "cmd" || el == "harness" {
+			return true
+		}
+	}
+	return false
 }
 
 // pkgNameOf resolves an expression to the *types.PkgName it denotes, or

@@ -15,9 +15,8 @@ import (
 func TestAllStableOrder(t *testing.T) {
 	want := []string{
 		"walltime", "globalrand", "maporder", "floateq", "simtime",
-		"noconc", "eventpast", "acctfield",
+		"noconc",
 		"hotchain",
-		"hookpassive",
 	}
 	all := lint.All()
 	if len(all) != len(want) {

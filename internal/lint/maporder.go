@@ -7,7 +7,6 @@ import (
 	"go/types"
 
 	"dcqcn/internal/lint/analysis"
-	"dcqcn/internal/lint/callgraph"
 )
 
 // Maporder flags `range` over a map whose body is sensitive to
@@ -40,12 +39,6 @@ var Maporder = &analysis.Analyzer{
 }
 
 func runMaporder(pass *analysis.Pass) error {
-	// The interprocedural check only judges model packages: harness and
-	// cmd code schedules nothing and its summaries would be pure noise.
-	var graph *callgraph.Graph
-	if !ExemptFromModelRules(pass.Pkg.Path()) {
-		graph = pass.Graph
-	}
 	for _, f := range pass.Files {
 		parents := buildParents(f)
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -60,7 +53,7 @@ func runMaporder(pass *analysis.Pass) error {
 			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 				return true
 			}
-			viols := orderSensitiveOps(pass.TypesInfo, graph, rs)
+			viols := orderSensitiveOps(pass.TypesInfo, rs)
 			if len(viols) == 0 {
 				return true
 			}
@@ -88,7 +81,7 @@ type violation struct {
 
 // orderSensitiveOps scans the body of a map range and returns every
 // operation whose outcome depends on iteration order.
-func orderSensitiveOps(info *types.Info, graph *callgraph.Graph, rs *ast.RangeStmt) []violation {
+func orderSensitiveOps(info *types.Info, rs *ast.RangeStmt) []violation {
 	var viols []violation
 	report := func(v violation) { viols = append(viols, v) }
 
@@ -130,7 +123,7 @@ func orderSensitiveOps(info *types.Info, graph *callgraph.Graph, rs *ast.RangeSt
 				})
 			}
 		case *ast.CallExpr:
-			checkCall(info, graph, st, outer, report)
+			checkCall(info, st, outer, report)
 		}
 		return true
 	})
@@ -213,13 +206,10 @@ func appendTarget(info *types.Info, lhs *types.Var, rhs ast.Expr) (*types.Var, b
 // checkCall flags calls that can smuggle iteration order into outer
 // state: method calls on receivers declared outside the loop (event
 // scheduling, collectors, builders) and calls through function-valued
-// variables captured from outside. Calls to declared functions used to
-// be allowed unconditionally; with the call-graph summaries (in model
-// packages) a declared function is allowed only when it transitively
-// neither schedules events, writes //acct: counters, nor mutates model
-// state — the ways a plain function of the loop variables can still
-// leak iteration order into the run.
-func checkCall(info *types.Info, graph *callgraph.Graph, call *ast.CallExpr,
+// variables captured from outside. A call to a declared function
+// passes: the analyzer judges this body only, so an effect buried in
+// the callee is left to the runtime gates (DESIGN.md §14).
+func checkCall(info *types.Info, call *ast.CallExpr,
 	outer func(ast.Expr) (*types.Var, bool), report func(violation)) {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
@@ -229,7 +219,6 @@ func checkCall(info *types.Info, graph *callgraph.Graph, call *ast.CallExpr,
 					msg: fmt.Sprintf("a call to %s.%s on state declared outside the loop", obj.Name(), fun.Sel.Name),
 					pos: call.Pos(),
 				})
-				return
 			}
 		}
 	case *ast.Ident:
@@ -239,37 +228,9 @@ func checkCall(info *types.Info, graph *callgraph.Graph, call *ast.CallExpr,
 					msg: fmt.Sprintf("a call through function value %q declared outside the loop", obj.Name()),
 					pos: call.Pos(),
 				})
-				return
 			}
 		}
 	}
-	checkEffectfulCallee(info, graph, call, report)
-}
-
-// mapOrderEffects are the transitive effects that make a declared
-// function order-sensitive inside a map range.
-const mapOrderEffects = callgraph.SchedulesEvent | callgraph.WritesAcctField | callgraph.WritesModelState
-
-// checkEffectfulCallee consults the call-graph summary of a statically
-// resolved callee.
-func checkEffectfulCallee(info *types.Info, graph *callgraph.Graph, call *ast.CallExpr, report func(violation)) {
-	if graph == nil {
-		return
-	}
-	node := graph.ResolveFunc(info, call.Fun)
-	if node == nil {
-		return
-	}
-	eff := node.Effects() & mapOrderEffects
-	if eff == 0 {
-		return
-	}
-	first := eff & -eff // lowest set bit, the chain Describe renders
-	report(violation{
-		msg: fmt.Sprintf("a call to %s, which transitively %s (%s)",
-			node, first.Describe(), graph.Describe(node, first)),
-		pos: call.Pos(),
-	})
 }
 
 // commonAppendTarget returns the single outer slice all violations

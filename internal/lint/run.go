@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"dcqcn/internal/lint/analysis"
-	"dcqcn/internal/lint/callgraph"
 	"dcqcn/internal/lint/load"
 )
 
@@ -63,23 +62,15 @@ func waiversOf(pkg *load.Package) []*waiver {
 	return out
 }
 
-// Run applies every analyzer in analyzers to every package in pkgs over
-// one shared call graph, applies the packages' //lint:allow waivers,
-// and returns the findings sorted by position. A reasoned waiver
+// Run applies every analyzer in analyzers to every package in pkgs,
+// applies the packages' //lint:allow waivers, and returns the findings
+// sorted by position. A reasoned waiver
 // silences the finding it covers; a reasonless one is reported in its
 // place. A waiver naming an unknown analyzer is itself a finding, and
 // so is a stale one: its analyzer ran over its package and it silenced
 // nothing. Waivers for analyzers outside analyzers are not judged.
 // Analyzer errors (not findings) abort the run.
 func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	var graph *callgraph.Graph
-	if len(pkgs) > 0 {
-		units := make([]*callgraph.Unit, len(pkgs))
-		for i, p := range pkgs {
-			units[i] = &callgraph.Unit{Files: p.Files, Pkg: p.Types, Info: p.Info}
-		}
-		graph = callgraph.Build(pkgs[0].Fset, units)
-	}
 	known := make(map[string]bool)
 	for _, a := range All() {
 		known[a.Name] = true
@@ -103,7 +94,6 @@ func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Finding, error
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				Graph:     graph,
 			}
 			name := a.Name
 			pass.Report = func(d analysis.Diagnostic) {

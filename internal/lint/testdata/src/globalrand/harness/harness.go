@@ -8,8 +8,7 @@ import "math/rand"
 // Jitter spreads worker start times; not model randomness.
 func Jitter() float64 { return rand.Float64() }
 
-// Fresh builds a throwaway source for worker jitter. Legal here; model
-// code must not launder sources out of it.
+// Fresh builds a throwaway source for worker jitter. Legal here.
 func Fresh(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }

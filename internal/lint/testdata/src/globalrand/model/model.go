@@ -3,11 +3,7 @@
 // construct sources of its own.
 package model
 
-import (
-	"math/rand"
-
-	harness "dcqcn/internal/lint/testdata/src/globalrand/harness"
-)
+import "math/rand"
 
 // draw uses an injected source: the contract-conformant shape.
 func draw(rng *rand.Rand) int {
@@ -25,18 +21,6 @@ func global() {
 // engine and forks the randomness stream.
 func construct() *rand.Rand {
 	return rand.New(rand.NewSource(7)) // want `rand\.New outside` `rand\.NewSource outside`
-}
-
-// laundered draws global randomness through the exempt harness, which
-// the interprocedural summary flags at the call site.
-func laundered() float64 {
-	return harness.Jitter() // want `call into exempt package harness transitively draws from the process-global rand source`
-}
-
-// launder pulls a constructed source out of the exempt harness, where
-// the per-package constructor scan never looks.
-func launder() *rand.Rand {
-	return harness.Fresh(7) // want `call into exempt package harness transitively constructs a rand source`
 }
 
 // ambient is package-level: shared by construction, unseedable per run.

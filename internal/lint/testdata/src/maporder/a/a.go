@@ -107,37 +107,12 @@ func bareAnnotation(m map[string]int, sink func(string)) {
 	}
 }
 
-// packageCall documents a deliberate analyzer boundary: declared
-// functions are judged by their call-graph summaries, but functions
-// outside the loaded batch (fmt here) have none, so I/O buried inside
-// them escapes the check.
+// packageCall documents a deliberate analyzer boundary: a call to a
+// declared function passes, because the analyzer judges the loop body
+// only, so I/O or state buried inside the callee (fmt here) escapes the
+// check.
 func packageCall(m map[string]int) {
 	for k := range m {
 		fmt.Println(k)
 	}
-}
-
-var tally int64
-
-// bump looks pure at the call site; the summary knows better.
-func bump() { tally++ }
-
-// double really is pure.
-func double(v int) int { return v * 2 }
-
-// effectfulCallee leaks iteration order through a declared function
-// that mutates package state.
-func effectfulCallee(m map[string]int) {
-	for range m {
-		bump() // want `call to a\.bump, which transitively mutates model state`
-	}
-}
-
-// pureCallee calls a summary-clean function and passes.
-func pureCallee(m map[string]int) int {
-	n := 0
-	for _, v := range m {
-		n += double(v)
-	}
-	return n
 }

@@ -3,11 +3,7 @@
 // banned.
 package model
 
-import (
-	"time"
-
-	harness "dcqcn/internal/lint/testdata/src/walltime/harness"
-)
+import "time"
 
 // clocky exercises every forbidden wall-clock entry point.
 func clocky() time.Time {
@@ -24,16 +20,4 @@ func clocky() time.Time {
 // pure time arithmetic carries no wall-clock dependency and passes.
 func pure(d time.Duration) time.Duration {
 	return 3*time.Second + d
-}
-
-// laundered reaches the clock through an exempt harness helper; the
-// call-graph summary sees what the per-package scan cannot.
-func laundered() time.Time {
-	return harness.Stamp() // want `call into exempt package harness transitively reads the wall clock`
-}
-
-// waivedLaunder is the same call with a justified waiver.
-func waivedLaunder() time.Time {
-	//lint:allow walltime timestamp is recorded into provenance before the run starts and never feeds the model
-	return harness.Stamp()
 }

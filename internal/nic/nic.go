@@ -145,7 +145,7 @@ type NIC struct {
 	drain func()
 
 	rxQueue packet.Queue
-	//acct: bytes queued in the receive pipeline awaiting processing
+	// Accounting: bytes queued in the receive pipeline awaiting processing
 	rxBacklog int64
 	// rxPkt is the packet the receive pipeline is processing, nil when
 	// idle; held here, as link.Port holds txPkt, so its completion needs
