@@ -24,12 +24,13 @@ fmt:
 vet:
 	$(GO) vet $(PKGS)
 
-# Contract static analysis (internal/lint), 10 analyzers. Determinism
-# family: walltime, globalrand, maporder, floateq, simtime. Physics
-# family: noconc, eventpast, acctfield. Hot-path family: hotchain (no
-# per-event hook chaining in //hot:path functions). Interprocedural
-# family: hookpassive. All of them share one call-graph summary
-# (internal/lint/callgraph). A finding is waived in the source, on its
+# Contract static analysis (internal/lint), 7 analyzers, each judging
+# one package at a time. Determinism family: walltime, globalrand,
+# maporder, floateq, simtime. Concurrency: noconc. Hot-path family:
+# hotchain (no per-event hook chaining in //hot:path functions). The
+# physics and passivity contracts are held at run time instead (the
+# auditor, the engine's past-event panic and the golden matrix's armed
+# rows; DESIGN.md §14). A finding is waived in the source, on its
 # line or the line above, with `//lint:allow <analyzer> <reason>`; a
 # waiver without a reason, for an unknown analyzer, or silencing
 # nothing is itself a finding.
