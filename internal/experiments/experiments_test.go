@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -378,11 +379,28 @@ func TestTimelyComparison(t *testing.T) {
 
 // TestClassIsolation checks §2.3: PFC priority classes isolate traffic
 // between classes (the separate-class victim keeps its full DRR share),
-// while flows inside the incast's class suffer with it.
+// while flows inside the incast's class suffer with it. No golden
+// digest runs ClassIsolation, so its rows at tiny() are pinned exactly:
+// a change to how its rig is built or wired must not move them.
 func TestClassIsolation(t *testing.T) {
 	rs := ClassIsolation(tiny())
 	if len(rs) != 2 {
 		t.Fatal("want 2 scenarios")
+	}
+	want := []struct {
+		victim, incast uint64 // math.Float64bits of VictimGbps, IncastTotal
+		pauses         int64
+	}{
+		{0x40200120fccfc9d7, 0x403fff7c3a9c6c6c, 1691}, // 8.0022, 31.9980 Gb/s
+		{0x4033fc892f2fe00a, 0x403402ef0f5e896a, 2998}, // 19.9865, 20.0115 Gb/s
+	}
+	for i, r := range rs {
+		w := want[i]
+		if math.Float64bits(r.VictimGbps) != w.victim || math.Float64bits(r.IncastTotal) != w.incast || r.VictimPauses != w.pauses {
+			t.Errorf("%s: victim %v Gb/s, incast %v Gb/s, %d pauses; want %v, %v, %d",
+				r.Scenario, r.VictimGbps, r.IncastTotal, r.VictimPauses,
+				math.Float64frombits(w.victim), math.Float64frombits(w.incast), w.pauses)
+		}
 	}
 	same, separate := rs[0], rs[1]
 	if separate.VictimGbps < 1.5*same.VictimGbps {

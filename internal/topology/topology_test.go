@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 
 	"dcqcn/internal/packet"
@@ -230,6 +231,10 @@ func TestFatTreeRejectsOddK(t *testing.T) {
 	NewFatTree(1, 3, DefaultOptions())
 }
 
+// TestFatTreeIncastLossless runs a 6:1 incast across the pods of a
+// k=4 fat tree. No golden digest runs NewFatTree, so the run's digest
+// and each core switch's forwarded count are pinned: a change to how
+// the builder wires or numbers the tree must not move them.
 func TestFatTreeIncastLossless(t *testing.T) {
 	n := NewFatTree(4, 4, DefaultOptions())
 	recv := n.Host("P4E2H2")
@@ -237,6 +242,15 @@ func TestFatTreeIncastLossless(t *testing.T) {
 		n.Host(h).OpenFlow(recv.ID).PostMessage(3*1000*1000, nil)
 	}
 	n.Sim.Run(simtime.Time(30 * simtime.Millisecond))
+	if got, want := n.Sim.Digest().String(), "172614:d732e945c45e0ac2"; got != want {
+		t.Errorf("digest %s, want %s", got, want)
+	}
+	for core, want := range []int64{6000, 0, 0, 6846} {
+		name := fmt.Sprintf("C%d", core+1)
+		if got := n.Switch(name).Stats.Forwarded; got != want {
+			t.Errorf("%s forwarded %d frames, want %d", name, got, want)
+		}
+	}
 	var drops int64
 	for _, sw := range n.Switches {
 		drops += sw.Stats.Drops
