@@ -52,30 +52,36 @@ func ClassIsolation(fid Fidelity) []ClassIsolationResult {
 		swCfg.StaticPFCThreshold = 100 * 1000
 		sw := fabric.New(sim, 1000, "sw", degree+2, swCfg)
 
+		nics := nic.NewDirectory()
 		mkNIC := func(id packet.NodeID, class uint8) *nic.NIC {
 			cfg := nic.DefaultConfig()
 			cfg.Controller = nic.FixedRateFactory(40 * simtime.Gbps)
 			cfg.NPEnabled = false
 			cfg.Transport.WindowPackets = 16384
 			cfg.Transport.Priority = class
-			h := nic.New(sim, id, fmt.Sprintf("h%d", id), cfg)
+			h := nic.New(sim, id, fmt.Sprintf("h%d", id), cfg, nics)
 			link.Connect(sim, h.Port(), sw.Port(int(id-1)), 500*simtime.Nanosecond)
 			sw.AddRoute(id, int(id-1))
 			return h
 		}
 
 		recvID := packet.NodeID(degree + 2)
-		var incastFlows []*nic.Flow
+		var incastNICs []*nic.NIC
 		for i := 0; i < degree; i++ {
-			h := mkNIC(packet.NodeID(i+1), incastClass)
-			f := h.OpenFlow(recvID)
-			repostLoop(f, 8*1000*1000, func(rocev2.Completion) {})
-			incastFlows = append(incastFlows, f)
+			incastNICs = append(incastNICs, mkNIC(packet.NodeID(i+1), incastClass))
 		}
 		victimNIC := mkNIC(packet.NodeID(degree+1), victimClass)
 		// Receiver carries both classes.
 		mkNIC(recvID, incastClass)
 
+		// Flows open once every NIC exists: OpenFlow builds each flow's
+		// receive half on the receiver.
+		var incastFlows []*nic.Flow
+		for _, h := range incastNICs {
+			f := h.OpenFlow(recvID)
+			repostLoop(f, 8*1000*1000, func(rocev2.Completion) {})
+			incastFlows = append(incastFlows, f)
+		}
 		victim := victimNIC.OpenFlow(recvID)
 		repostLoop(victim, 8*1000*1000, func(rocev2.Completion) {})
 

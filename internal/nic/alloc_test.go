@@ -45,7 +45,7 @@ func TestAllocBudgetRxPipeline(t *testing.T) {
 	sim := engine.New(1)
 	cfg := DefaultConfig()
 	cfg.RxProcessingRate = 10 * simtime.Gbps
-	n := New(sim, 1, "nic", cfg)
+	n := New(sim, 1, "nic", cfg, NewDirectory())
 	a := &packet.Packet{Type: packet.CNP, Size: packet.ControlBytes, Flow: 7}
 	b := &packet.Packet{Type: packet.CNP, Size: packet.ControlBytes, Flow: 8}
 	cycle := func() {

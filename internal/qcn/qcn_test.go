@@ -112,8 +112,9 @@ func TestQCNControlsSingleSwitchIncast(t *testing.T) {
 	nicCfg.NPEnabled = false
 	var nics []*nic.NIC
 	var ids []packet.NodeID
+	dir := nic.NewDirectory()
 	for i := 0; i < 3; i++ {
-		h := nic.New(sim, packet.NodeID(i+1), "h", nicCfg)
+		h := nic.New(sim, packet.NodeID(i+1), "h", nicCfg, dir)
 		link.Connect(sim, h.Port(), sw.Port(i), 500*simtime.Nanosecond)
 		sw.AddRoute(h.ID, i)
 		nics = append(nics, h)

@@ -133,8 +133,9 @@ func TestEndToEndIncast(t *testing.T) {
 	nicCfg.Transport.AckEvery = 4 // denser RTT samples
 	nicCfg.Controller = sel.Factory()
 	var nics []*nic.NIC
+	dir := nic.NewDirectory()
 	for i := 0; i <= degree; i++ {
-		h := nic.New(sim, packet.NodeID(i+1), "h", nicCfg)
+		h := nic.New(sim, packet.NodeID(i+1), "h", nicCfg, dir)
 		link.Connect(sim, h.Port(), sw.Port(i), 500*simtime.Nanosecond)
 		sw.AddRoute(h.ID, i)
 		nics = append(nics, h)

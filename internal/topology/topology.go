@@ -120,7 +120,8 @@ type Network struct {
 	OnFault func(index int, kind, target, phase string)
 
 	opts      Options
-	msim      *engine.Sim // model-class handle components schedule on
+	msim      *engine.Sim    // model-class handle components schedule on
+	nics      *nic.Directory // every host NIC, by node ID
 	hostOrder []string
 	swOrder   []string
 	nextID    packet.NodeID
@@ -152,6 +153,7 @@ func NewNetwork(seed int64, opts Options) *Network {
 	return &Network{
 		Sim:       sim,
 		msim:      sim.Model(),
+		nics:      nic.NewDirectory(),
 		Hosts:     make(map[string]*nic.NIC),
 		Switches:  make(map[string]*fabric.Switch),
 		hostLinks: make(map[string]*link.Link),
@@ -184,7 +186,7 @@ func (n *Network) AddHost(name string, tor *fabric.Switch) *nic.NIC {
 	if _, dup := n.Hosts[name]; dup {
 		panic("topology: duplicate host " + name)
 	}
-	h := nic.New(n.msim, n.allocID(), name, n.opts.NIC)
+	h := nic.New(n.msim, n.allocID(), name, n.opts.NIC, n.nics)
 	port := n.takePort(tor)
 	n.hostLinks[name] = link.Connect(n.msim, h.Port(), tor.Port(port), n.opts.HostLinkDelay)
 	n.attached[tor] = append(n.attached[tor], hostEdge{host: h, port: port})
