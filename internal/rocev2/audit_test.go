@@ -1,6 +1,7 @@
 package rocev2
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func wantPanic(t *testing.T, fragment string, fn func()) {
 		if r == nil {
 			t.Fatalf("no panic, want one containing %q", fragment)
 		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, fragment) {
+		if msg := fmt.Sprint(r); !strings.Contains(msg, fragment) {
 			t.Fatalf("panic %v, want one containing %q", r, fragment)
 		}
 	}()
