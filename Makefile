@@ -59,9 +59,10 @@ escape-update:
 # never builds, and this gate is the one plain-build run of every
 # race-excluded test: the `TestAllocBudget*` budgets, the escape parity
 # table's `TestParityAllocs` and the `TestRetained*` live-heap bounds
-# (the flight recorder's ring, a drained egress queue). A test added to
-# a `!race` file must match this pattern. Every package is searched, so
-# a budget added in a new package is never left out.
+# (the flight recorder's ring, a drained egress queue, the NIC's closed
+# flows). A test added to a `!race` file must match this pattern. Every
+# package is searched, so a budget added in a new package is never left
+# out.
 alloc-budgets:
 	$(GO) test -run '^(TestAllocBudget|TestParityAllocs$$|TestRetained)' -count=1 ./...
 

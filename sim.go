@@ -253,7 +253,9 @@ func (f *Flow) ReactionPoint() *RP {
 	return rp
 }
 
-// Close releases the flow.
+// Close releases the flow at both ends: its send half on the source
+// and its receive half on the destination. Data still in flight when it
+// closes is dropped at the destination.
 func (f *Flow) Close() { f.inner.Close() }
 
 // LineRate40G is the testbed port speed.
