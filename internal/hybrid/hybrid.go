@@ -31,6 +31,7 @@ package hybrid
 
 import (
 	"fmt"
+	"math"
 
 	"dcqcn/internal/core"
 	"dcqcn/internal/fabric"
@@ -123,7 +124,6 @@ type swState struct {
 
 // classState is one background class's live fluid state.
 type classState struct {
-	spec  ClassSpec
 	flows float64
 	state fluid.FlowState
 	hops  []int // indices into Substrate.ports
@@ -131,6 +131,12 @@ type classState struct {
 	// probability and own rate, read τ* after they were written.
 	pHist  []float64
 	rcHist []float64
+	// drive is the law's drive for the delayed inputs whose
+	// math.Float64bits are pKey and rcKey. Attach seeds it from the
+	// delay lines' initial contents; tick recomputes it only when the
+	// inputs it reads differ from these in some bit.
+	drive       fluid.Drive
+	pKey, rcKey uint64
 }
 
 // Substrate is an attached fluid background-traffic layer on one
@@ -173,7 +179,6 @@ func Attach(net *topology.Network, cfg Config, specs []ClassSpec) *Substrate {
 		}
 		hops := net.PathPorts(spec.Src, spec.Dst, srcPort)
 		c := classState{
-			spec:  spec,
 			flows: float64(spec.Flows),
 			pHist: make([]float64, s.delaySteps()),
 		}
@@ -186,6 +191,7 @@ func Attach(net *topology.Network, cfg Config, specs []ClassSpec) *Substrate {
 		for i := range c.rcHist {
 			c.rcHist[i] = c.state.RC
 		}
+		c.redrive(&s.law, c.pHist[0], c.rcHist[0])
 		for _, hop := range hops {
 			c.hops = append(c.hops, s.internPort(hop, swIndex, portIndex))
 		}
@@ -298,7 +304,11 @@ func (s *Substrate) tick(now simtime.Time) {
 		p.sw.occupied += delta
 	}
 	// Classes react to the path marking probability of τ* ago through
-	// the same RP law the packet-level NICs implement.
+	// the same RP law the packet-level NICs implement. The law's
+	// transcendental half depends on the delayed inputs alone, so a
+	// class whose inputs repeat bit for bit (in overload, nearly every
+	// step) applies the drive it already has: a pure function given
+	// equal bits returns equal bits, so nothing the step computes moves.
 	for i := range s.classes {
 		c := &s.classes[i]
 		keep := 1.0
@@ -309,9 +319,21 @@ func (s *Substrate) tick(now simtime.Time) {
 		pDel, rcDel := c.pHist[h], c.rcHist[h]
 		c.pHist[h] = 1 - keep
 		c.rcHist[h] = c.state.RC
-		s.law.Step(&c.state, s.law.Delay(pDel), rcDel, dt)
+		if math.Float64bits(pDel) != c.pKey || math.Float64bits(rcDel) != c.rcKey {
+			c.redrive(&s.law, pDel, rcDel)
+		}
+		s.law.Apply(&c.state, &c.drive, dt)
 	}
 	s.steps++
+}
+
+// redrive computes the class's drive for the delayed inputs pDel and
+// rcDel and keys it by their bits.
+//
+//hot:path
+func (c *classState) redrive(law *fluid.Law, pDel, rcDel float64) {
+	law.Drive(&c.drive, law.Delay(pDel), rcDel)
+	c.pKey, c.rcKey = math.Float64bits(pDel), math.Float64bits(rcDel)
 }
 
 // Active reports whether the substrate attached any flow class (and is
