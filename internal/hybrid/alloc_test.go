@@ -4,8 +4,11 @@
 // substrate's integration step fires every Config.Step (10 µs) of
 // simtime for the whole run, so it is a per-event cost like the event
 // queue's — and like there, the budget is zero heap allocations per
-// step regardless of how many flows the substrate models. Race builds
-// skip the budget; the race detector perturbs allocation counts.
+// step regardless of how many flows the substrate models. Each of
+// tickRig's regimes holds it: the overloaded rig reuses its classes'
+// drives on nearly every step, the unsaturated one recomputes them.
+// Race builds skip the budget; the race detector perturbs allocation
+// counts.
 
 package hybrid
 
@@ -13,15 +16,15 @@ import (
 	"testing"
 
 	"dcqcn/internal/simtime"
-	"dcqcn/internal/topology"
 )
 
-func TestAllocBudgetTick(t *testing.T) {
-	var sub *Substrate
-	net := star(3, 4, func(net *topology.Network) {
-		sub = AttachBackground(net, DefaultConfig(), 100000)
-	})
-	greedy(net, "H1", "H4")
+func TestAllocBudgetTick(t *testing.T)            { tickAllocBudget(t, overloadFlows) }
+func TestAllocBudgetTickUnsaturated(t *testing.T) { tickAllocBudget(t, unsaturatedFlows) }
+
+// tickAllocBudget warms tickRig(bgFlows) up for 1 ms, then requires
+// the integration step to allocate nothing.
+func tickAllocBudget(t *testing.T, bgFlows int) {
+	net, sub := tickRig(bgFlows)
 	net.Sim.Run(simtime.Time(simtime.Millisecond))
 	if !sub.Active() || sub.Steps() == 0 {
 		t.Fatal("substrate not running")
