@@ -120,10 +120,14 @@ bench-test:
 	$(GO) -C cmd/dcqcn-bench vet ./...
 	$(GO) -C cmd/dcqcn-bench test ./...
 
-# The sweep harness's orchestration speedup: the same grid at
-# -parallel 1 and -parallel 4.
+# The sweep harness's orchestration speedup (the same grid at
+# -parallel 1 and -parallel 4), then the per-hop paths: a link frame
+# (with the serialization memo hitting and missing), a switch forward,
+# an event queue push and pop, and one hybrid substrate step.
 bench:
 	$(GO) test -run=NONE -bench=BenchmarkSweep -benchtime=1x .
+	$(GO) test -run=NONE -bench='^(BenchmarkLinkTransmit|BenchmarkSwitchForward|BenchmarkEventqPushPop)$$' ./internal/flightrec
+	$(GO) test -run=NONE -bench='^BenchmarkTick$$' ./internal/hybrid
 
 # The full evaluation sweep (every registered scenario).
 sweep:

@@ -40,22 +40,38 @@ type benchSink struct{ got int }
 func (s *benchSink) HandlePacket(p *packet.Packet, port *link.Port) { s.got++ }
 
 // BenchmarkLinkTransmit measures one complete frame transmission:
-// enqueue, serialize, propagate, deliver.
+// enqueue, serialize, propagate, deliver. same-size re-sends one 1000-B
+// frame, so the port's serialization memo always hits; alternating
+// sends 1,562-B data frames and 64-B control frames by turns, so it
+// always misses.
 func BenchmarkLinkTransmit(b *testing.B) {
-	b.ReportAllocs()
-	sim := engine.New(1)
-	msim := sim.Model()
-	rate := 40 * simtime.Gbps
-	a := link.NewPort(msim, "a", 0, rate, &benchSink{})
-	dst := link.NewPort(msim, "b", 1, rate, &benchSink{})
-	link.Connect(msim, a, dst, simtime.Microsecond)
-	pkt := &packet.Packet{Type: packet.Data, Size: 1000}
-	a.Enqueue(pkt)
-	sim.RunAll()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Enqueue(pkt)
-		sim.RunAll()
+	data := &packet.Packet{Type: packet.Data, Size: packet.MaxFrameBytes, Priority: packet.PrioData}
+	control := &packet.Packet{Type: packet.Ack, Size: packet.ControlBytes, Priority: packet.PrioControl}
+	for _, bc := range []struct {
+		name string
+		pkts []*packet.Packet
+	}{
+		{"same-size", []*packet.Packet{{Type: packet.Data, Size: 1000}}},
+		{"alternating", []*packet.Packet{data, control}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			sim := engine.New(1)
+			msim := sim.Model()
+			rate := 40 * simtime.Gbps
+			a := link.NewPort(msim, "a", 0, rate, &benchSink{})
+			dst := link.NewPort(msim, "b", 1, rate, &benchSink{})
+			link.Connect(msim, a, dst, simtime.Microsecond)
+			for _, pkt := range bc.pkts {
+				a.Enqueue(pkt)
+				sim.RunAll()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.Enqueue(bc.pkts[i%len(bc.pkts)])
+				sim.RunAll()
+			}
+		})
 	}
 }
 
