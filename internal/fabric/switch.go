@@ -17,6 +17,7 @@ package fabric
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"dcqcn/internal/buffercalc"
 	"dcqcn/internal/core"
@@ -250,6 +251,11 @@ func (s *Switch) AddRoute(dst packet.NodeID, ports ...int) {
 	}
 	s.routes[dst] = append(s.routes[dst], ports...)
 }
+
+// Routes returns a copy of the ECMP group toward dst, its ports in the
+// order AddRoute registered them, or nil if the switch has no route
+// there.
+func (s *Switch) Routes(dst packet.NodeID) []int { return slices.Clone(s.ecmpSet(dst)) }
 
 // ecmpSet returns the candidate egress ports toward dst, empty if the
 // switch has no route there.

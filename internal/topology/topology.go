@@ -233,52 +233,68 @@ func (n *Network) SwitchNames() []string { return n.swOrder }
 
 // ComputeRoutes installs shortest-path ECMP routing for every host
 // destination on every switch. Must be called once after wiring.
+//
+// Every host behind one ToR has the same routes beyond it, so one BFS
+// from each ToR finds the downhill ports of every switch toward all of
+// its hosts. The routes are installed host by host, in ToR and
+// attachment order.
 func (n *Network) ComputeRoutes() {
 	for _, tor := range n.swOrder {
 		torSw := n.Switches[tor]
-		for _, he := range n.attached[torSw] {
-			n.routeToHost(torSw, he)
+		hosts := n.attached[torSw]
+		if len(hosts) == 0 {
+			continue
+		}
+		downhill := n.downhillPorts(torSw)
+		for _, he := range hosts {
+			dst := he.host.ID
+			torSw.AddRoute(dst, he.port)
+			for i, name := range n.swOrder {
+				if ports := downhill[i]; ports != nil {
+					n.Switches[name].AddRoute(dst, ports...)
+				}
+			}
 		}
 	}
 }
 
-// routeToHost installs routes toward one host on all switches via BFS
-// from the host's ToR.
-func (n *Network) routeToHost(tor *fabric.Switch, he hostEdge) {
-	dist := map[*fabric.Switch]int{tor: 0}
+// downhillPorts runs a BFS from tor over the switch graph and returns,
+// per switch in swOrder, the ports toward its neighbors one hop nearer
+// to tor: nil for tor itself and for switches it cannot reach.
+func (n *Network) downhillPorts(tor *fabric.Switch) [][]int {
+	dist := make([]int, len(n.swOrder))
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[n.swIndex[tor]] = 0
 	queue := []*fabric.Switch{tor}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
 		for _, e := range n.neighbors[cur] {
-			if _, seen := dist[e.peer]; !seen {
-				dist[e.peer] = dist[cur] + 1
+			if j := n.swIndex[e.peer]; dist[j] < 0 {
+				dist[j] = dist[n.swIndex[cur]] + 1
 				queue = append(queue, e.peer)
 			}
 		}
 	}
-	dst := he.host.ID
-	tor.AddRoute(dst, he.port)
-	for _, name := range n.swOrder {
+	downhill := make([][]int, len(n.swOrder))
+	for i, name := range n.swOrder {
+		d := dist[i]
+		if d <= 0 {
+			continue
+		}
 		sw := n.Switches[name]
-		if sw == tor {
-			continue
-		}
-		d, reachable := dist[sw]
-		if !reachable {
-			continue
-		}
-		var ports []int
 		for _, e := range n.neighbors[sw] {
-			if dd, ok := dist[e.peer]; ok && dd == d-1 {
-				ports = append(ports, e.port)
+			if dist[n.swIndex[e.peer]] == d-1 {
+				downhill[i] = append(downhill[i], e.port)
 			}
 		}
-		if len(ports) == 0 {
-			panic(fmt.Sprintf("topology: no downhill neighbor from %s toward %s", sw.Name, he.host.Name))
+		if downhill[i] == nil {
+			panic(fmt.Sprintf("topology: no downhill neighbor from %s toward %s", sw.Name, tor.Name))
 		}
-		sw.AddRoute(dst, ports...)
 	}
+	return downhill
 }
 
 func (n *Network) allocID() packet.NodeID {
