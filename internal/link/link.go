@@ -13,6 +13,7 @@ package link
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"dcqcn/internal/engine"
@@ -73,8 +74,20 @@ type Port struct {
 	queues [packet.NumPriorities]packet.Queue
 	// Accounting: bytes waiting in the egress FIFOs, one slot per priority
 	queuedBytes [packet.NumPriorities]int64
+	// Accounting: bytes waiting in all egress FIFOs, the sum of queuedBytes
+	queuedTotal int64
 	pausedUntil [packet.NumPriorities]simtime.Time
-	busy        bool
+	// nonempty has bit prio set exactly when queues[prio] holds a packet:
+	// Enqueue sets it and popFrom clears it when the FIFO drains, so the
+	// scheduler visits only the classes that have something to send.
+	nonempty uint8
+	busy     bool
+	// txSize and txTime memoize the serialization delay of the last
+	// frame size the port started: txTime is rate.TxTime(txSize), and
+	// rate never changes after NewPort. The zero memo is exact too, as
+	// a frame of 0 bytes takes 0 ps.
+	txSize int
+	txTime simtime.Duration
 	// txPkt is the frame currently serializing (nil when idle). Holding
 	// it in the port instead of a per-transmission closure keeps kick()
 	// allocation-free: txDone is the one pre-bound completion
@@ -186,13 +199,9 @@ func (p *Port) Connected() bool { return p.link != nil }
 func (p *Port) QueuedBytes(prio uint8) int64 { return p.queuedBytes[prio] }
 
 // TotalQueuedBytes returns bytes waiting across all priorities.
-func (p *Port) TotalQueuedBytes() int64 {
-	var total int64
-	for _, b := range p.queuedBytes {
-		total += b
-	}
-	return total
-}
+//
+//hot:path
+func (p *Port) TotalQueuedBytes() int64 { return p.queuedTotal }
 
 // Paused reports whether transmission of prio is currently inhibited by
 // PFC.
@@ -212,6 +221,8 @@ func (p *Port) Enqueue(pkt *packet.Packet) {
 	}
 	p.queues[pkt.Priority].Push(pkt)
 	p.queuedBytes[pkt.Priority] += int64(pkt.Size)
+	p.queuedTotal += int64(pkt.Size)
+	p.nonempty |= 1 << pkt.Priority
 	if p.OnEnqueue != nil {
 		p.OnEnqueue(pkt)
 	}
@@ -256,23 +267,25 @@ func (p *Port) SendPFC(prio uint8, on bool) {
 // classes below them follow either strict priority (default) or deficit
 // round robin when EnableDRR was called. PFC pause inhibits a class
 // until expiry or XON; control frames are never paused in practice
-// because nothing sends PAUSE for their classes.
+// because nothing sends PAUSE for their classes. Strict priority walks
+// the nonempty mask from its highest bit down, so it tests only the
+// classes that hold a packet, in the order a scan of all eight would.
 //
 //hot:path
 func (p *Port) nextPacket() *packet.Packet {
 	now := p.sim.Now()
-	// Control classes: strict priority always.
-	for prio := packet.NumPriorities - 1; prio >= packet.PrioControl; prio-- {
-		if p.eligible(prio, now) {
+	strict := p.nonempty
+	if p.drr {
+		strict &^= 1<<packet.PrioControl - 1 // DRR serves the data classes below
+	}
+	for strict != 0 {
+		prio := bits.Len8(strict) - 1
+		if now >= p.pausedUntil[prio] {
 			return p.popFrom(uint8(prio))
 		}
+		strict &^= 1 << prio
 	}
 	if !p.drr {
-		for prio := packet.PrioControl - 1; prio >= 0; prio-- {
-			if p.eligible(prio, now) {
-				return p.popFrom(uint8(prio))
-			}
-		}
 		return nil
 	}
 	// Deficit round robin over the data classes: a class earns quantum
@@ -308,13 +321,18 @@ func (p *Port) nextPacket() *packet.Packet {
 //
 //hot:path
 func (p *Port) eligible(prio int, now simtime.Time) bool {
-	return !p.queues[prio].Empty() && now >= p.pausedUntil[prio]
+	return p.nonempty&(1<<prio) != 0 && now >= p.pausedUntil[prio]
 }
 
 //hot:path
 func (p *Port) popFrom(prio uint8) *packet.Packet {
-	pkt := p.queues[prio].Pop()
+	q := &p.queues[prio]
+	pkt := q.Pop()
+	if q.Empty() {
+		p.nonempty &^= 1 << prio
+	}
 	p.queuedBytes[prio] -= int64(pkt.Size)
+	p.queuedTotal -= int64(pkt.Size)
 	return pkt
 }
 
@@ -347,7 +365,20 @@ func (p *Port) kick() {
 	}
 	p.busy = true
 	p.txPkt = pkt
-	p.sim.After(p.rate.TxTime(pkt.Size), p.txDone)
+	p.sim.After(p.serialization(pkt.Size), p.txDone)
+}
+
+// serialization returns rate.TxTime(size) from the port's memo,
+// computing it only when size differs from the last frame's. Frames on
+// a port mostly repeat one size (a data flow's MTU frames), so the
+// divide and the rounding run about once per size change.
+//
+//hot:path
+func (p *Port) serialization(size int) simtime.Duration {
+	if size != p.txSize {
+		p.txSize, p.txTime = size, p.rate.TxTime(size)
+	}
+	return p.txTime
 }
 
 // finishTx completes the transmission in progress: the last bit of
