@@ -19,6 +19,7 @@ package nic
 
 import (
 	"fmt"
+	"math"
 
 	"dcqcn/internal/cc"
 	"dcqcn/internal/core"
@@ -219,7 +220,14 @@ type flowState struct {
 	nextSendAt    simtime.Time // earliest start of the next transmission
 	lastSendAt    simtime.Time
 	lastSentBytes int
-	event         eventq.Handle // pending pacing event
+	// gapRate, gapSize and gap memoize the pacing gap: gap is
+	// rate.TxTime(gapSize) for the rate whose float64 bits are gapRate.
+	// The rate moves only at a controller update, so between updates
+	// every packet of one size reuses it.
+	gapRate uint64
+	gapSize int
+	gap     simtime.Duration
+	event   eventq.Handle // pending pacing event
 	// pace is the pacing continuation, bound once at OpenFlow, so a
 	// rate-limited packet schedules its send without a closure.
 	pace    func()
@@ -430,8 +438,18 @@ func (n *NIC) trySend(fs *flowState) {
 		if rate <= 0 {
 			rate = n.cfg.LineRate
 		}
-		fs.nextSendAt = now.Add(rate.TxTime(pkt.Size))
+		fs.nextSendAt = now.Add(fs.pacingGap(rate, pkt.Size))
 	}
+}
+
+// pacingGap returns rate.TxTime(size), which the flow's memo holds
+// unless the rate's bits or the size differ from the last call's. The
+// rate must be positive; the zero memo is then never a hit.
+func (fs *flowState) pacingGap(rate simtime.Rate, size int) simtime.Duration {
+	if bits := math.Float64bits(float64(rate)); bits != fs.gapRate || size != fs.gapSize {
+		fs.gapRate, fs.gapSize, fs.gap = bits, size, rate.TxTime(size)
+	}
+	return fs.gap
 }
 
 // onRateChange re-arms the pacing gap after the controller moved the
@@ -446,7 +464,7 @@ func (n *NIC) onRateChange(fs *flowState) {
 	if rate <= 0 {
 		return
 	}
-	fs.nextSendAt = fs.lastSendAt.Add(rate.TxTime(fs.lastSentBytes))
+	fs.nextSendAt = fs.lastSendAt.Add(fs.pacingGap(rate, fs.lastSentBytes))
 	n.sim.Cancel(fs.event)
 	n.trySend(fs)
 }
