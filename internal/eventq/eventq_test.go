@@ -338,3 +338,80 @@ func BenchmarkPushPop(b *testing.B) {
 		}
 	}
 }
+
+// TestRearmMatchesCancelPush drives two queues in lockstep through the
+// same random script: re-arms to earlier, later and equal times, through
+// live and stale handles, cancels, pops and bounded pops. The reference
+// re-arms by Cancel and Push, the other by Rearm. Both must pop the same
+// (time, callback) sequence and agree on Len and every handle's Pending
+// after every step. Times come from a narrow range, so equal-time ties,
+// which only the re-arm's fresh FIFO ordinal orders, are common.
+func TestRearmMatchesCancelPush(t *testing.T) {
+	const timers = 24
+	rng := rand.New(rand.NewSource(7))
+	var ref, got Queue
+	var hRef, hGot [timers]Handle
+	var due [timers]simtime.Time // while pending
+	var fnRef, fnGot [timers]func()
+	firedRef, firedGot := -1, -1
+	for k := range fnRef {
+		k := k
+		fnRef[k] = func() { firedRef = k }
+		fnGot[k] = func() { firedGot = k }
+	}
+	var now simtime.Time // pushes never precede it, as the engine's clock
+	pop := func(step int, limit simtime.Time) {
+		a, b := ref.PopUntil(limit), got.PopUntil(limit)
+		if (a == nil) != (b == nil) {
+			t.Fatalf("step %d: PopUntil(%v) returned %v from the reference, %v from the re-arming queue", step, limit, a, b)
+		}
+		if a == nil {
+			if limit > now && limit != simtime.Forever {
+				now = limit
+			}
+			return
+		}
+		a.Fire()
+		b.Fire()
+		if a.At != b.At || firedRef != firedGot {
+			t.Fatalf("step %d: popped timer %d at %v, reference popped %d at %v", step, firedGot, b.At, firedRef, a.At)
+		}
+		now = a.At
+	}
+	for step := 0; step < 200000; step++ {
+		k := rng.Intn(timers)
+		switch r := rng.Intn(20); {
+		case r < 10: // re-arm timer k
+			at := now.Add(simtime.Duration(rng.Intn(64)))
+			if hRef[k].Pending() {
+				switch rng.Intn(3) {
+				case 0: // the same time
+					at = due[k]
+				case 1: // earlier, not before the clock
+					at = max(now, due[k].Add(-simtime.Duration(rng.Intn(32))))
+				default: // later
+					at = due[k].Add(simtime.Duration(rng.Intn(64)))
+				}
+			}
+			ref.Cancel(hRef[k])
+			hRef[k] = ref.Push(at, fnRef[k])
+			hGot[k] = got.Rearm(hGot[k], at, fnGot[k])
+			due[k] = at
+		case r < 12:
+			ref.Cancel(hRef[k])
+			got.Cancel(hGot[k])
+		case r < 16:
+			pop(step, simtime.Forever)
+		default: // a horizon that may fall before the clock, at or past it
+			pop(step, now.Add(simtime.Duration(rng.Intn(80)-8)))
+		}
+		if ref.Len() != got.Len() {
+			t.Fatalf("step %d: Len %d, reference %d", step, got.Len(), ref.Len())
+		}
+		for j := range hRef {
+			if hRef[j].Pending() != hGot[j].Pending() {
+				t.Fatalf("step %d: timer %d pending=%v, reference %v", step, j, hGot[j].Pending(), hRef[j].Pending())
+			}
+		}
+	}
+}
