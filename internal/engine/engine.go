@@ -33,8 +33,10 @@ import (
 
 // core is one event loop: clock, queue, digest and random source.
 type core struct {
-	now    simtime.Time
-	queue  eventq.Queue
+	now   simtime.Time
+	queue eventq.Queue
+	// rng is the control stream, built at the first Rand call: only
+	// tests and harness code draw from it, and a rand source is 5 KB.
 	rng    *rand.Rand
 	seed   int64
 	events uint64
@@ -55,7 +57,7 @@ type Sim struct {
 // returns its control handle. Identical seeds (with identical models)
 // produce identical runs.
 func New(seed int64) *Sim {
-	c := &core{rng: rand.New(rand.NewSource(seed)), seed: seed, hash: fnvOffset64}
+	c := &core{seed: seed, hash: fnvOffset64}
 	return &Sim{c: c, class: eventq.ClassControl}
 }
 
@@ -74,11 +76,18 @@ func (s *Sim) Now() simtime.Time { return s.c.now }
 // Seed returns the seed the simulator was created with.
 func (s *Sim) Seed() int64 { return s.c.seed }
 
-// Rand returns the simulation's random source. Model components must not
-// draw from it directly — they derive private streams with NewStream so
-// draw order stays independent of event interleaving — but tests and
-// harness code may.
-func (s *Sim) Rand() *rand.Rand { return s.c.rng }
+// Rand returns the simulation's random source, seeded with the
+// simulator's seed: NewStream(Seed()), built at the first call and the
+// same source on every later one. Model components must not draw from it
+// directly — they derive private streams with NewStream so draw order
+// stays independent of event interleaving — but tests and harness code
+// may.
+func (s *Sim) Rand() *rand.Rand {
+	if s.c.rng == nil {
+		s.c.rng = s.NewStream(s.c.seed)
+	}
+	return s.c.rng
+}
 
 // NewStream returns an additional deterministic random source for
 // auxiliary randomness — workload sizes, placement, per-component model
@@ -86,9 +95,9 @@ func (s *Sim) Rand() *rand.Rand { return s.c.rng }
 // shifts every later draw, so interleaving auxiliary and model draws
 // couples them). The stream is a pure function of the argument,
 // independent of the simulator's own seed; pass a run- or
-// component-derived value. Together with New this is the only place the
-// determinism contract permits constructing a rand source (see
-// internal/lint).
+// component-derived value. It is the only place the determinism contract
+// lets the simulator construct a rand source (see internal/lint); Rand
+// builds the control stream through it.
 func (s *Sim) NewStream(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
@@ -201,6 +210,23 @@ func (s *Sim) After(d simtime.Duration, fn func()) eventq.Handle {
 //
 //hot:path
 func (s *Sim) Cancel(h eventq.Handle) { s.c.queue.Cancel(h) }
+
+// Rearm supersedes the event behind h with fn at time t and returns the
+// new handle: the same as Cancel(h) followed by At(t, fn), with the same
+// ordinal and so the same order, but a pending event is re-armed in place
+// (eventq's RearmKeyed) instead of leaving the queue and joining it
+// again. A model re-arming a timer on every packet or CNP calls this. It
+// panics where At would.
+//
+//hot:path
+func (s *Sim) Rearm(h eventq.Handle, t simtime.Time, fn func()) eventq.Handle {
+	if t < s.c.now {
+		panic(fmt.Sprintf("engine: event re-armed in the past (%v < %v)", t, s.c.now))
+	}
+	k := eventq.Key{Class: s.class, K1: s.c.pushes}
+	s.c.pushes++
+	return s.c.queue.RearmKeyed(h, t, k, fn)
+}
 
 // Halt stops the run loop after the current event returns. Pending events
 // remain queued; Run can be called again to continue.
