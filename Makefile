@@ -81,8 +81,8 @@ race:
 	$(GO) test -race ./...
 
 # The event queue's fuzz target, run for 30 s beyond its seed corpus
-# (which `race` replays): random pushes, pops, bounded pops and
-# cancels, checked against a reference model.
+# (which `race` replays): random pushes, pops, bounded pops, cancels
+# and re-arms, checked against a reference model.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueOperations$$' -fuzztime 30s ./internal/eventq/
 
@@ -123,10 +123,11 @@ bench-test:
 # The sweep harness's orchestration speedup (the same grid at
 # -parallel 1 and -parallel 4), then the per-hop paths: a link frame
 # (with the serialization memo hitting and missing), a switch forward,
-# an event queue push and pop, and one hybrid substrate step.
+# an event queue push and pop, a pending timer's re-arm, and one hybrid
+# substrate step.
 bench:
 	$(GO) test -run=NONE -bench=BenchmarkSweep -benchtime=1x .
-	$(GO) test -run=NONE -bench='^(BenchmarkLinkTransmit|BenchmarkSwitchForward|BenchmarkEventqPushPop)$$' ./internal/flightrec
+	$(GO) test -run=NONE -bench='^(BenchmarkLinkTransmit|BenchmarkSwitchForward|BenchmarkEventqPushPop|BenchmarkEventqRearm)$$' ./internal/flightrec
 	$(GO) test -run=NONE -bench='^BenchmarkTick$$' ./internal/hybrid
 
 # The full evaluation sweep (every registered scenario).

@@ -9,16 +9,19 @@ import (
 // armed through it is a value handle, not a cancel closure. A clock over
 // an event queue implements it next to After; Timer prefers it.
 type Scheduler interface {
-	// Schedule runs fn once, d from now, and returns its handle.
-	Schedule(d simtime.Duration, fn func()) eventq.Handle
+	// Rearm runs fn once, d from now, superseding the event behind h,
+	// and returns the new handle: Cancel(h) and a fresh schedule, with
+	// a pending event re-armed in place (eventq's RearmKeyed). Through a
+	// stale or zero handle it only schedules.
+	Rearm(h eventq.Handle, d simtime.Duration, fn func()) eventq.Handle
 	// Cancel removes the event behind h. A stale or zero handle is a
 	// no-op, so a timer may cancel its own firing event.
 	Cancel(h eventq.Handle)
 }
 
 // Timer is a re-armable one-shot timer slot whose continuation is bound
-// once, at NewTimer. On a clock that implements Scheduler, Reset and Stop
-// cancel and schedule through an eventq.Handle kept in the slot, so
+// once, at NewTimer. On a clock that implements Scheduler, Reset re-arms
+// and Stop cancels through an eventq.Handle kept in the slot, so
 // re-arming allocates nothing. On any other clock Timer falls back to
 // After and keeps its cancel func, one allocation per arm. The engine's
 // clock (nic.Clock) and the test clock (simtest.Clock) are Schedulers;
@@ -41,15 +44,17 @@ func NewTimer(clock Clock, fn func()) Timer {
 	return Timer{clock: clock, sched: sched, fn: fn}
 }
 
-// Reset cancels the pending expiry, if any, and schedules fn d from now.
-// The cancel runs before the new schedule, as a hand-written re-arm
-// would, so the events scheduled are the same either way.
+// Reset supersedes the pending expiry, if any, with fn d from now. On a
+// Scheduler it does not cancel first: the pending event is re-armed in
+// place, which fires the same events, with the same keys, as a cancel
+// and a fresh schedule, and costs a few stores when the expiry moves
+// later, as it does on every packet and CNP.
 func (t *Timer) Reset(d simtime.Duration) {
-	t.Stop()
 	if t.sched != nil {
-		t.h = t.sched.Schedule(d, t.fn)
+		t.h = t.sched.Rearm(t.h, d, t.fn)
 		return
 	}
+	t.Stop()
 	t.cancel = t.clock.After(d, t.fn)
 }
 

@@ -215,11 +215,11 @@ func (s *sender) pump() {
 }
 
 func (s *sender) armRTO() {
-	s.host.sim.Cancel(s.rto)
 	if s.acked >= s.endPSN {
+		s.host.sim.Cancel(s.rto)
 		return
 	}
-	s.rto = s.host.sim.After(s.host.cfg.RTO, s.onRTO)
+	s.rto = s.host.sim.Rearm(s.rto, s.host.sim.Now().Add(s.host.cfg.RTO), s.onRTO)
 }
 
 // timeout is the RTO expiry: go-back-N with a conservative window reset.

@@ -501,8 +501,7 @@ func (s *Switch) sendPause(inPort int, prio uint8) {
 		s.pauseRefresh[inPort] = rs
 	}
 	r := &rs[prio]
-	s.sim.Cancel(r.pending)
-	r.pending = s.sim.After(link.DefaultPauseDuration/2, r.fire)
+	r.pending = s.sim.Rearm(r.pending, s.sim.Now().Add(link.DefaultPauseDuration/2), r.fire)
 }
 
 // PortStats returns the accumulated counters of port i.

@@ -1,9 +1,9 @@
 package flightrec
 
 // Allocation-budget benchmarks for the hot-path contract (DESIGN §12):
-// ns/op and allocs/op for the four budgeted event-loop paths — event
-// queue push/pop, link transmit, switch forward, recorder append. The
-// hard budgets themselves are enforced by the per-package
+// ns/op and allocs/op for the budgeted event-loop paths — event queue
+// push/pop and timer re-arm, link transmit, switch forward, recorder
+// append. The hard budgets themselves are enforced by the per-package
 // TestAllocBudget* tests (non-race builds).
 
 import (
@@ -32,6 +32,34 @@ func BenchmarkEventqPushPop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q.Push(base.Add(simtime.Duration(i)), fn)
 		q.Pop()
+	}
+}
+
+// BenchmarkEventqRearm is BenchmarkEventqPushPop's cycle plus the re-arm
+// of a pending timer, as a retransmission timeout is re-armed on every
+// packet: 512 events one picosecond apart keep the clock moving, and 64
+// timers, re-armed in turn, are each due 4,096 ps after their last
+// re-arm. A re-arm to a later deadline is a few stores; the pop that
+// reaches a timer's old deadline re-files it, about once per 64 cycles.
+// The difference from BenchmarkEventqPushPop is the re-arm's share.
+func BenchmarkEventqRearm(b *testing.B) {
+	b.ReportAllocs()
+	var q eventq.Queue
+	fn := func() {}
+	for i := 0; i < 512; i++ {
+		q.Push(simtime.Time(i), fn)
+	}
+	const rto = 4096
+	timers := make([]eventq.Handle, 64)
+	for i := range timers {
+		timers[i] = q.Push(rto, fn)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Push(simtime.Time(512+i), fn)
+		now := q.Pop().At
+		k := i % len(timers)
+		timers[k] = q.Rearm(timers[k], now.Add(rto), fn)
 	}
 }
 

@@ -427,8 +427,7 @@ func (p *Port) receive(pkt *packet.Packet) {
 			p.expiry = newPauseExpiry(p)
 		}
 		e := p.expiry
-		p.sim.Cancel(e.pending[prio])
-		e.pending[prio] = p.sim.After(DefaultPauseDuration, e.fire[prio])
+		e.pending[prio] = p.sim.Rearm(e.pending[prio], p.pausedUntil[prio], e.fire[prio])
 		if p.OnPFC != nil {
 			p.OnPFC(pkt)
 		}

@@ -13,6 +13,7 @@ package nic
 import (
 	"testing"
 
+	"dcqcn/internal/core"
 	"dcqcn/internal/engine"
 	"dcqcn/internal/packet"
 	"dcqcn/internal/simtime"
@@ -63,5 +64,30 @@ func TestAllocBudgetRxPipeline(t *testing.T) {
 	}
 	if n.RxBacklog() != 0 {
 		t.Fatalf("receive backlog %d after the cycles, want 0", n.RxBacklog())
+	}
+}
+
+// TestAllocBudgetTimerRearm re-arms a pending core.Timer on the engine
+// clock, as the RTO is on every packet and the RP timers on every CNP:
+// each cycle moves the deadline later or earlier by turns and runs the
+// clock on by a microsecond, past old deadlines the pops re-file. The
+// timer never fires, and re-arming allocates nothing.
+func TestAllocBudgetTimerRearm(t *testing.T) {
+	sim := engine.New(1)
+	fired := false
+	tm := core.NewTimer(Clock{Sim: sim}, func() { fired = true })
+	i := 0
+	cycle := func() {
+		i++
+		tm.Reset(simtime.Duration(5+5*(i%2)) * simtime.Microsecond)
+		sim.Run(sim.Now().Add(simtime.Microsecond))
+	}
+	cycle() // warm: the event pool and the buckets
+	avg := testing.AllocsPerRun(1000, cycle)
+	if avg != 0 {
+		t.Errorf("timer re-arm allocates %.2f objects per cycle, budget is 0", avg)
+	}
+	if fired || sim.Pending() != 1 {
+		t.Fatalf("re-armed timer fired (%v) or left %d events pending, want 1", fired, sim.Pending())
 	}
 }

@@ -45,8 +45,10 @@ func (c Clock) After(d simtime.Duration, fn func()) func() {
 	return func() { c.Sim.Cancel(h) }
 }
 
-// Schedule runs fn once, d from now, and returns its handle.
-func (c Clock) Schedule(d simtime.Duration, fn func()) eventq.Handle { return c.Sim.After(d, fn) }
+// Rearm runs fn once, d from now, superseding the event behind h.
+func (c Clock) Rearm(h eventq.Handle, d simtime.Duration, fn func()) eventq.Handle {
+	return c.Sim.Rearm(h, c.Sim.Now().Add(d), fn)
+}
 
 // Cancel removes the event behind h; a stale handle is a no-op.
 func (c Clock) Cancel(h eventq.Handle) { c.Sim.Cancel(h) }
@@ -465,6 +467,14 @@ func (n *NIC) onRateChange(fs *flowState) {
 		return
 	}
 	fs.nextSendAt = fs.lastSendAt.Add(fs.pacingGap(rate, fs.lastSentBytes))
+	// Where cancelling and retrying would go straight to scheduling the
+	// next send at nextSendAt, the pending pacing event is re-armed there
+	// in place instead; the event and its order are the same.
+	if fs.event.Pending() && n.sim.Now() < fs.nextSendAt && fs.qp.CanSend() &&
+		n.port.TotalQueuedBytes() < n.cfg.TxBacklogLimit {
+		fs.event = n.sim.Rearm(fs.event, fs.nextSendAt, fs.pace)
+		return
+	}
 	n.sim.Cancel(fs.event)
 	n.trySend(fs)
 }
@@ -533,8 +543,7 @@ func (n *NIC) sendRxPause() {
 	n.Stats.RxPauses++
 	n.port.SendPFC(n.dataPriority(), true)
 	// As a switch does: the next refresh supersedes a pending one.
-	n.sim.Cancel(n.rxRefreshing)
-	n.rxRefreshing = n.sim.After(link.DefaultPauseDuration/2, n.rxRefresh)
+	n.rxRefreshing = n.sim.Rearm(n.rxRefreshing, n.sim.Now().Add(link.DefaultPauseDuration/2), n.rxRefresh)
 }
 
 func (n *NIC) rxKick() {

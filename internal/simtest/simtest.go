@@ -21,13 +21,14 @@ func (c *Clock) Now() simtime.Time { return c.now }
 
 // After schedules fn once, d from now, and returns a cancel function.
 func (c *Clock) After(d simtime.Duration, fn func()) func() {
-	h := c.Schedule(d, fn)
+	h := c.q.Push(c.now.Add(d), fn)
 	return func() { c.Cancel(h) }
 }
 
-// Schedule schedules fn once, d from now, and returns its handle.
-func (c *Clock) Schedule(d simtime.Duration, fn func()) eventq.Handle {
-	return c.q.Push(c.now.Add(d), fn)
+// Rearm schedules fn once, d from now, superseding the timer behind h,
+// and returns the new handle.
+func (c *Clock) Rearm(h eventq.Handle, d simtime.Duration, fn func()) eventq.Handle {
+	return c.q.Rearm(h, c.now.Add(d), fn)
 }
 
 // Cancel removes a pending timer; a stale or zero handle is a no-op.
